@@ -22,15 +22,15 @@ import (
 // a regression past it means some per-node or per-token allocation crept
 // back into the hot path.
 func TestColdExtractAllocationBudget(t *testing.T) {
-	pool, err := formext.NewPool()
+	ex, err := formext.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Extract(dataset.QamHTML); err != nil { // warm pools
+	if _, err := ex.ExtractHTML(dataset.QamHTML); err != nil { // warm pools
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := pool.Extract(dataset.QamHTML); err != nil {
+		if _, err := ex.ExtractHTML(dataset.QamHTML); err != nil {
 			t.Fatal(err)
 		}
 	})

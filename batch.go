@@ -12,7 +12,7 @@ import (
 
 // BatchOptions configures ExtractAll.
 type BatchOptions struct {
-	// Extractor options applied to every worker.
+	// Options configure the one Extractor every worker shares.
 	Options Options
 	// Workers is the number of concurrent extractors (default: GOMAXPROCS).
 	Workers int
@@ -33,11 +33,10 @@ type PageError struct {
 	// failure — in particular the per-stage wall times of the stages that
 	// did run — so a failed page in a crawl is diagnosable without
 	// re-extracting it. It is zero when the failure preceded the pipeline:
-	// an extractor that could not be constructed, or a page the batch
-	// cancellation failed before its extraction started. A page cancelled
-	// mid-extraction instead carries the partial Stats (stage timings,
-	// parser counters, Degraded entries) accumulated up to the checkpoint
-	// that observed the cancellation.
+	// a page the batch cancellation failed before its extraction started.
+	// A page cancelled mid-extraction instead carries the partial Stats
+	// (stage timings, parser counters, Degraded entries) accumulated up to
+	// the checkpoint that observed the cancellation.
 	Stats Stats
 }
 
@@ -71,9 +70,7 @@ func (e *BatchError) Error() string {
 
 // extractPage is the per-page extraction the stream workers run; a package
 // variable so tests can inject per-page failures (the real pipeline is
-// total and never fails on well-formed configurations). It uses the
-// internal entry point whose Result is non-nil even on error, carrying the
-// stage timings accumulated before the failure.
+// total and never fails on well-formed configurations).
 var extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
 	return ex.ExtractHTMLContext(ctx, src)
 }
@@ -94,10 +91,10 @@ func safeExtractPage(ctx context.Context, ex *Extractor, src string) (res *Resul
 // ExtractAll extracts every page concurrently and returns the results in
 // input order. It is a collect wrapper over ExtractStream — the unique
 // pages are fed through the streaming pipeline and reassembled by arrival
-// index — so the two paths share workers, pooled extractors, containment
-// and caching; ExtractAll is the fixed-slice convenience, ExtractStream
-// the crawl-scale entry point the paper's integration scenario needs
-// (10^5 sources, Section 1).
+// index — so the two paths share workers, the one shared Extractor,
+// containment and caching; ExtractAll is the fixed-slice convenience,
+// ExtractStream the crawl-scale entry point the paper's integration
+// scenario needs (10^5 sources, Section 1).
 //
 // Byte-identical pages are extracted once per batch: the first occurrence
 // is the canonical extraction, and every later duplicate receives its own
@@ -118,9 +115,9 @@ func ExtractAll(pages []string, opt BatchOptions) ([]*Result, error) {
 	if len(pages) == 0 {
 		return nil, nil
 	}
-	// Validates the configuration once, up front; the pool it builds is the
-	// one the stream workers draw from.
-	pool, err := NewPool(opt.Options)
+	// Validates the configuration once, up front; the extractor it builds
+	// is the one every stream worker shares.
+	ex, err := New(opt.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +169,9 @@ func ExtractAll(pages []string, opt BatchOptions) ([]*Result, error) {
 		}
 	}()
 	out := extractStream(ctx, in, StreamOptions{
-		Options:     opt.Options,
 		Workers:     workers,
 		MaxInFlight: 2 * workers,
-	}, pool)
+	}, ex)
 
 	results := make([]*Result, len(pages))
 	var pageErrs []PageError

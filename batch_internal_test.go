@@ -1,101 +1,21 @@
 package formext
 
-// Regression tests for the two seed batch.go bugs, written against the
-// package internals so they can inject failures the total pipeline never
-// produces on its own:
+// Regression tests for the batch path's failure accounting, written against
+// the package internals so they can inject failures the total pipeline
+// never produces on its own:
 //
-//   - the latent producer deadlock: a worker whose extractor construction
-//     failed returned without ever receiving from the unbuffered jobs
-//     channel, so with every worker dead the producer loop blocked forever;
 //   - the partial-results contract violation: any per-page error discarded
 //     every completed result and returned nil, despite the doc comment's
-//     promise that individual pages never fail.
-//
-// Both tests fail against the seed batch.go (the first by timeout, the
-// second on the discarded results) and pass with the pooled rewrite.
+//     promise that individual pages never fail;
+//   - worker stranding: a failure on one page must cost that page alone,
+//     never the pages queued behind it on the same worker.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// failingFactory makes extractor construction succeed once (the up-front
-// validation call) and fail ever after — the precise shape of the seed
-// deadlock, where validation passed but every worker's New failed.
-func failingFactory(t *testing.T) {
-	t.Helper()
-	origNew, origPooled := newExtractor, newPooledExtractor
-	var calls atomic.Int64
-	newExtractor = func(o Options) (*Extractor, error) {
-		if n := calls.Add(1); n > 1 {
-			return nil, fmt.Errorf("injected: construction failure %d", n)
-		}
-		return New(o)
-	}
-	// Pool misses construct through the cached-grammar factory; those must
-	// fail too for the seed deadlock shape.
-	newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
-		return nil, fmt.Errorf("injected: construction failure %d", calls.Add(1))
-	}
-	t.Cleanup(func() { newExtractor, newPooledExtractor = origNew, origPooled })
-}
-
-func TestExtractAllWorkerFactoryFailureDoesNotDeadlock(t *testing.T) {
-	failingFactory(t)
-	pages := []string{
-		"<form>A <input type=text name=a></form>",
-		"<form>B <input type=text name=b></form>",
-		"<form>C <input type=text name=c></form>",
-		"<form>D <input type=text name=d></form>",
-	}
-	type outcome struct {
-		res []*Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := ExtractAll(pages, BatchOptions{Workers: 4})
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		// Termination plus full accounting is the contract. Usually the
-		// pool still holds the validation extractor, one worker drains
-		// every job, and the batch succeeds outright; but sync.Pool sheds
-		// its contents on GC, in which case every worker's construction
-		// fails and each page must instead be reported in the BatchError.
-		// Either way no page may be silently lost — and the seed deadlocked
-		// here instead of returning at all.
-		if len(out.res) != len(pages) {
-			t.Fatalf("results = %d (err %v), want %d", len(out.res), out.err, len(pages))
-		}
-		failed := map[int]bool{}
-		if out.err != nil {
-			var be *BatchError
-			if !errors.As(out.err, &be) {
-				t.Fatalf("error type = %T, want *BatchError", out.err)
-			}
-			for _, pe := range be.Pages {
-				failed[pe.Page] = true
-			}
-		}
-		for i, r := range out.res {
-			if r == nil && !failed[i] {
-				t.Errorf("page %d missing and unreported", i)
-			}
-			if r != nil && failed[i] {
-				t.Errorf("page %d both extracted and reported failed", i)
-			}
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("ExtractAll deadlocked with failing worker factories (seed batch.go bug)")
-	}
-}
 
 func TestExtractAllReturnsPartialResultsOnPageError(t *testing.T) {
 	orig := extractPage
@@ -145,24 +65,12 @@ func TestExtractAllReturnsPartialResultsOnPageError(t *testing.T) {
 	}
 }
 
-// TestExtractAllRetriesTransientConstructionFailure is the regression test
-// for worker stranding: historically a worker whose pool.Get failed exited
-// permanently, charging every page it had yet to draw a construction error
-// a retry could have avoided — with Workers=1 that stranded the whole rest
-// of the batch. Here the single worker loses its extractor to a panicking
-// page, the replacement construction fails transiently, and every healthy
-// page must still succeed via the retry-with-backoff path.
-func TestExtractAllRetriesTransientConstructionFailure(t *testing.T) {
-	origNew, origPooled := newExtractor, newPooledExtractor
-	var pooledCalls atomic.Int64
-	newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
-		if n := pooledCalls.Add(1); n <= 2 {
-			return nil, fmt.Errorf("injected: transient construction failure %d", n)
-		}
-		return origPooled(g, o)
-	}
-	t.Cleanup(func() { newExtractor, newPooledExtractor = origNew, origPooled })
-
+// TestExtractAllPanickingPageCostsOnlyItself is the regression test for
+// worker stranding: a worker that gave up after a failure would charge
+// every page it had yet to draw an error — with Workers=1, the whole rest
+// of the batch. Here the single worker's first page panics, and every page
+// behind it must still succeed on the same shared extractor.
+func TestExtractAllPanickingPageCostsOnlyItself(t *testing.T) {
 	origExtract := extractPage
 	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
 		if strings.Contains(src, "PANIC") {
@@ -172,8 +80,6 @@ func TestExtractAllRetriesTransientConstructionFailure(t *testing.T) {
 	}
 	t.Cleanup(func() { extractPage = origExtract })
 
-	// Page 0 panics, abandoning the worker's extractor; pages 1..3 force the
-	// worker through the transiently-failing replacement construction.
 	pages := []string{
 		"<form>PANIC <input type=text name=p></form>",
 		"<form>B <input type=text name=b></form>",
@@ -194,61 +100,8 @@ func TestExtractAllRetriesTransientConstructionFailure(t *testing.T) {
 	}
 	for i := 1; i < len(pages); i++ {
 		if res[i] == nil {
-			t.Errorf("page %d lost to a transient construction failure", i)
+			t.Errorf("page %d lost behind the panicking page", i)
 		}
-	}
-	if pooledCalls.Load() < 3 {
-		t.Fatalf("pooled factory called %d times; the transient-failure path never ran", pooledCalls.Load())
-	}
-}
-
-// TestExtractStreamMixedHealthyAndFailingWorkers covers the concurrent
-// shape of the same bug: several workers racing a factory that fails
-// intermittently. Every worker must keep draining (retrying construction
-// per page rather than exiting), so all pages complete.
-func TestExtractStreamMixedHealthyAndFailingWorkers(t *testing.T) {
-	pool, err := NewPool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drain the primed validation extractor so every worker goes through the
-	// flaky miss-path factory.
-	if _, err := pool.Get(); err != nil {
-		t.Fatal(err)
-	}
-	// The first three constructions fail, landing on whichever workers race
-	// there first; later constructions succeed. Three failures fit every
-	// worker's retry budget (getExtractorAttempts = 4), so no page may be
-	// lost no matter how the failures distribute.
-	origPooled := newPooledExtractor
-	var calls atomic.Int64
-	newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
-		if n := calls.Add(1); n <= 3 {
-			return nil, fmt.Errorf("injected: intermittent construction failure %d", n)
-		}
-		return origPooled(g, o)
-	}
-	t.Cleanup(func() { newPooledExtractor = origPooled })
-
-	const n = 16
-	in := make(chan Page)
-	go func() {
-		defer close(in)
-		for i := 0; i < n; i++ {
-			in <- Page{HTML: fmt.Sprintf("<form>F%02d <input type=text name=f%d></form>", i, i)}
-		}
-	}()
-	out := extractStream(context.Background(), in,
-		StreamOptions{Workers: 4, MaxInFlight: 8}, pool)
-	delivered := 0
-	for pr := range out {
-		if pr.Err != nil {
-			t.Errorf("seq %d failed despite retry: %v", pr.Seq, pr.Err)
-		}
-		delivered++
-	}
-	if delivered != n {
-		t.Fatalf("delivered %d of %d pages", delivered, n)
 	}
 }
 
@@ -256,12 +109,12 @@ func TestExtractStreamMixedHealthyAndFailingWorkers(t *testing.T) {
 // the batch-diagnosability contract: a failed page's PageError must carry
 // the observability snapshot accumulated before the failure, so a crawl
 // can report where a bad page spent its time without re-extracting it.
-// The injected failure returns the partial Result the internal entry point
-// guarantees, exactly as extractHTML does on a mid-pipeline error.
+// The injected failure returns the partial Result an uncached extraction
+// guarantees, exactly as the pipeline does on a mid-pipeline error.
 func TestExtractAllPageErrorCarriesStageTimings(t *testing.T) {
 	orig := extractPage
 	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
-		res, err := ex.extractHTML(ctx, src)
+		res, err := ex.ExtractHTMLContext(ctx, src)
 		if err != nil {
 			return res, err
 		}

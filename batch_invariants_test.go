@@ -3,18 +3,17 @@ package formext
 // The BatchError invariant — "the pages it names are exactly the nil
 // entries of the returned results, each named exactly once, in ascending
 // page order" — enumerated across every failure mode the batch path has:
-// page errors, page panics, transient and total construction failures,
-// pre-batch and mid-batch cancellation, each crossed with duplicate pages
+// page errors, page panics, pre-batch and mid-batch cancellation, each
+// crossed with duplicate pages
 // (including duplicates of the failing pages, the combination where the
-// legacy implementation could double-charge an index through the errByPage
-// replication and the workerErr sweep touching the same page).
+// legacy implementation could double-charge an index through its
+// duplicate replication).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -59,18 +58,15 @@ func checkBatchInvariant(t *testing.T, n int, res []*Result, err error) {
 
 func TestExtractAllBatchErrorInvariant(t *testing.T) {
 	type scenario struct {
-		name     string
-		cancel   string // "", "pre", "mid"
-		panics   bool   // corpus includes panicking pages (and a duplicate)
-		consFail bool   // every pool-miss construction fails
+		name   string
+		cancel string // "", "pre", "mid"
+		panics bool   // corpus includes panicking pages (and a duplicate)
 	}
 	var scenarios []scenario
 	for _, cancel := range []string{"", "pre", "mid"} {
 		for _, panics := range []bool{false, true} {
-			for _, consFail := range []bool{false, true} {
-				name := fmt.Sprintf("cancel=%s panics=%v consfail=%v", cancel, panics, consFail)
-				scenarios = append(scenarios, scenario{name, cancel, panics, consFail})
-			}
+			name := fmt.Sprintf("cancel=%s panics=%v", cancel, panics)
+			scenarios = append(scenarios, scenario{name, cancel, panics})
 		}
 	}
 
@@ -96,15 +92,6 @@ func TestExtractAllBatchErrorInvariant(t *testing.T) {
 				return ex.ExtractHTMLContext(c, src)
 			}
 			t.Cleanup(func() { extractPage = origExtract })
-
-			if sc.consFail {
-				origPooled := newPooledExtractor
-				var calls atomic.Int64
-				newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
-					return nil, fmt.Errorf("injected: construction failure %d", calls.Add(1))
-				}
-				t.Cleanup(func() { newPooledExtractor = origPooled })
-			}
 
 			// Healthy pages, a failing page, duplicates of both kinds, and an
 			// empty page; panic and cancel trigger pages join per scenario.

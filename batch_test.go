@@ -113,7 +113,7 @@ func TestExtractAllOrderSingleWorker(t *testing.T) {
 }
 
 func TestExtractAllOrderPooled(t *testing.T) {
-	// The pool-backed default path under contention: many small pages,
+	// The shared-extractor default path under contention: many small pages,
 	// default worker count, run under -race by the tier-1 target.
 	pages, labels := batchPages(32)
 	res, err := formext.ExtractAll(pages, formext.BatchOptions{})

@@ -267,13 +267,14 @@ func BenchmarkGrammarLoad(b *testing.B) {
 	}
 }
 
-// ---- serving-path benchmarks (PR 1: parse-once grammar + pool) ----
+// ---- serving-path benchmarks (parse-once grammar, one shared extractor) ----
 
-// BenchmarkNew measures extractor construction — the per-request cost the
-// serving path pays when it cannot reuse extractors. With the parse-once
-// default grammar and the shared schedule cache this is allocation-light;
-// the seed re-parsed the grammar DSL on every call (see BENCH_pool.json
-// for before/after).
+// BenchmarkNew measures extractor construction — the one-time cost a server
+// pays at startup before sharing the extractor across requests. With the
+// parse-once default grammar and the shared schedule cache this is
+// allocation-light. The end-to-end per-request figures live in
+// BENCHMARK.json's traced run (obs.overhead_us, obs.allocs,
+// pipeline.allocs).
 func BenchmarkNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -287,29 +288,31 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolExtract is the steady-state serving cost per request: a
-// pooled extractor over the shared grammar, sequentially.
+// BenchmarkPoolExtract is the steady-state serving cost per request: one
+// shared extractor over the shared grammar, sequentially. (The name
+// predates the shared extractor; the bench-frontend and bench-parser
+// baselines are keyed by it.)
 func BenchmarkPoolExtract(b *testing.B) {
-	pool, err := formext.NewPool()
+	ex, err := formext.New()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pool.Extract(dataset.QamHTML); err != nil { // warm up
+	if _, err := ex.ExtractHTML(dataset.QamHTML); err != nil { // warm up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.Extract(dataset.QamHTML); err != nil {
+		if _, err := ex.ExtractHTML(dataset.QamHTML); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPoolExtractParallel contends many goroutines on one pool — the
-// concurrent serving path of cmd/formserve.
+// BenchmarkPoolExtractParallel runs many goroutines through one shared
+// extractor — the concurrent serving path of cmd/formserve.
 func BenchmarkPoolExtractParallel(b *testing.B) {
-	pool, err := formext.NewPool()
+	ex, err := formext.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func BenchmarkPoolExtractParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := pool.Extract(dataset.QamHTML); err != nil {
+			if _, err := ex.ExtractHTML(dataset.QamHTML); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -43,7 +43,7 @@ type CacheStats = cache.Stats
 // sharing rules).
 //
 // A Cache is safe for concurrent use and may be shared by any number of
-// extractors, pools and batches; results cached under different grammars or
+// extractors and batches; results cached under different grammars or
 // options never collide because both are part of the key.
 type Cache struct {
 	c *cache.Cache
@@ -80,18 +80,6 @@ func (e *Extractor) ExtractKey(src string) CacheKey {
 // extraction instead of forcing a string conversion first.
 func (e *Extractor) ExtractKeyBytes(src []byte) CacheKey {
 	return pageKey(e.keyPrefix, src)
-}
-
-// ExtractKey returns the content-addressed key an extraction of src through
-// this pool would be cached under; see Extractor.ExtractKey.
-func (p *Pool) ExtractKey(src string) CacheKey {
-	return pageKey(p.keyPrefix, viewBytes(src))
-}
-
-// ExtractKeyBytes is ExtractKey over a byte buffer; see
-// Extractor.ExtractKeyBytes.
-func (p *Pool) ExtractKeyBytes(src []byte) CacheKey {
-	return pageKey(p.keyPrefix, src)
 }
 
 // cachePrefix derives the per-extractor half of the cache key: a hash over
@@ -271,14 +259,6 @@ func modelCost(m *SemanticModel) int64 {
 	return c
 }
 
-// cacheRunner is the uncached extraction behind a cachedExtract call: the
-// Extractor runs its own pipeline, the Pool draws a pooled extractor first.
-// cacheEvent names the cache outcome ("miss" on the flight leader's run) so
-// the extraction's trace records why the pipeline ran.
-type cacheRunner interface {
-	runExtract(ctx context.Context, src []byte, cacheEvent string) (*Result, error)
-}
-
 // cachedExtract serves one extraction through the cache: a content-hash
 // lookup first (a hit costs no pipeline work), then a per-key singleflight
 // so concurrent identical requests run one extraction. Only complete,
@@ -286,13 +266,14 @@ type cacheRunner interface {
 // budget-cut results belong to the request that suffered them and never
 // poison the key. Waiters whose flight resolves without a shareable result
 // start over under their own context.
-func cachedExtract(ctx context.Context, c *Cache, prefix [32]byte, src []byte, tracer *Tracer, r cacheRunner) (*Result, error) {
-	key := pageKey(prefix, src)
+func (e *Extractor) cachedExtract(ctx context.Context, src []byte) (*Result, error) {
+	c, tracer := e.opts.Cache, e.opts.Tracer
+	key := pageKey(e.keyPrefix, src)
 	if v, ok := c.c.Lookup(key); ok {
 		return v.(*Result).share(true, false, cacheTrace(tracer, obs.EventCacheHit)), nil
 	}
 	v, out, err := c.c.Do(ctx, key, func() (any, int64, bool, error) {
-		res, rerr := r.runExtract(ctx, src, obs.EventCacheMiss)
+		res, rerr := e.extractBytesEvent(ctx, src, obs.EventCacheMiss)
 		if rerr != nil || res == nil || !res.cacheable() {
 			return res, 0, false, rerr
 		}

@@ -72,12 +72,12 @@ func BenchmarkCacheColdMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheParallel drives at least 16 goroutines through one pooled,
+// BenchmarkCacheParallel drives at least 16 goroutines through one shared,
 // cached extractor over 64 pages with Zipf-distributed popularity; the
 // reported hit rate shows how much of the workload the cache absorbs.
 func BenchmarkCacheParallel(b *testing.B) {
 	c := newBenchCache(b)
-	pool, err := formext.NewPool(formext.Options{Cache: c})
+	ex, err := formext.New(formext.Options{Cache: c})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func BenchmarkCacheParallel(b *testing.B) {
 		r := rand.New(rand.NewSource(seed.Add(1)))
 		zipf := rand.NewZipf(r, 1.3, 4, uint64(len(pages)-1))
 		for pb.Next() {
-			if _, err := pool.Extract(pages[zipf.Uint64()]); err != nil {
+			if _, err := ex.ExtractHTML(pages[zipf.Uint64()]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -96,7 +96,7 @@ func TestCacheStampedeSingleExtraction(t *testing.T) {
 	t.Cleanup(func() { stageHook = orig })
 
 	c := mustCache(t, CacheConfig{})
-	pool, err := NewPool(Options{Cache: c})
+	ex, err := New(Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCacheStampedeSingleExtraction(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			results[i], errs[i] = pool.Extract(qamHTML)
+			results[i], errs[i] = ex.ExtractHTML(qamHTML)
 		}(i)
 	}
 	started.Wait()
@@ -367,7 +367,7 @@ func TestCacheHitPathAllocations(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("warm hit allocates %.1f objects per op, want <= 2", allocs)
 	}
-	st := ex.cache.Stats()
+	st := ex.opts.Cache.Stats()
 	if st.Hits == 0 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want one miss and many hits", st)
 	}
@@ -387,12 +387,12 @@ func TestCachePanicDoesNotPoisonKey(t *testing.T) {
 	t.Cleanup(func() { stageHook = orig })
 
 	c := mustCache(t, CacheConfig{})
-	pool, err := NewPool(Options{Cache: c})
+	ex, err := New(Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	arm.Store(true)
-	_, err = pool.Extract(qamHTML)
+	_, err = ex.ExtractHTML(qamHTML)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
@@ -400,7 +400,7 @@ func TestCachePanicDoesNotPoisonKey(t *testing.T) {
 	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("panicking extraction left %d cached entries", n)
 	}
-	res, err := pool.Extract(qamHTML)
+	res, err := ex.ExtractHTML(qamHTML)
 	if err != nil || len(res.Model.Conditions) != 5 {
 		t.Fatalf("retry after contained panic failed: %v", err)
 	}
@@ -507,28 +507,28 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	}
 }
 
-// TestCacheSharedAcrossPoolAndExtractor: one Cache serves any mix of
-// extractors and pools built with equivalent options; an extraction through
-// one is a hit through the other.
+// TestCacheSharedAcrossPoolAndExtractor: one Cache serves any number of
+// extractors built with equivalent options; an extraction through one is a
+// hit through another.
 func TestCacheSharedAcrossPoolAndExtractor(t *testing.T) {
 	c := mustCache(t, CacheConfig{})
 	ex, err := New(Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(Options{Cache: c})
+	other, err := New(Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ex.ExtractHTML(qaaHTML); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Extract(qaaHTML)
+	res, err := other.ExtractHTML(qaaHTML)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.CacheHit {
-		t.Error("pool must hit the entry the standalone extractor cached")
+		t.Error("a second extractor must hit the entry the first one cached")
 	}
 	if fmt.Sprint(res.Model.Conditions) == "" {
 		t.Error("shared result lost its model")

@@ -171,7 +171,7 @@ func resolveSchemas(names string) ([]dataset.Schema, error) {
 // build generates the domains, serves every source, extracts every
 // interface through the real pipeline and registers the models.
 func (l *lab) build() error {
-	pool, err := formext.NewPool()
+	ex, err := formext.New()
 	if err != nil {
 		return err
 	}
@@ -188,7 +188,7 @@ func (l *lab) build() error {
 			l.sources = append(l.sources, &labSource{
 				domain: schema.Name, src: src, sim: sim, server: ts,
 			})
-			res, err := pool.ExtractBytes(context.Background(), []byte(src.HTML))
+			res, err := ex.ExtractBytes(context.Background(), []byte(src.HTML))
 			if err != nil {
 				return fmt.Errorf("extract %s: %w", src.ID, err)
 			}

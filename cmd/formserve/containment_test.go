@@ -19,7 +19,7 @@ import (
 
 // injectExtract swaps the handler's extraction for the test's and restores
 // it on cleanup.
-func injectExtract(t *testing.T, fn func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error)) {
+func injectExtract(t *testing.T, fn func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error)) {
 	t.Helper()
 	orig := extract
 	extract = fn
@@ -33,13 +33,13 @@ func injectExtract(t *testing.T, fn func(ctx context.Context, p *formext.Pool, s
 func TestPanicIs500AndServerSurvives(t *testing.T) {
 	hostileInFlight := make(chan struct{})
 	releaseHostile := make(chan struct{})
-	injectExtract(t, func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
+	injectExtract(t, func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
 		if strings.Contains(string(src), "bomb") {
 			close(hostileInFlight)
 			<-releaseHostile
 			panic("injected hostile-page panic")
 		}
-		return p.ExtractBytes(ctx, src)
+		return ex.ExtractBytes(ctx, src)
 	})
 	srv := newTestServer(t)
 
@@ -100,7 +100,7 @@ func TestPanicIs500AndServerSurvives(t *testing.T) {
 // TestDeadlineIs503WithRetryAfter verifies the deadline mapping: an
 // extraction exceeding -extract-timeout answers 503 with a Retry-After.
 func TestDeadlineIs503WithRetryAfter(t *testing.T) {
-	injectExtract(t, func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
+	injectExtract(t, func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
 		<-ctx.Done() // stall until the handler's deadline fires
 		return nil, ctx.Err()
 	})
@@ -127,7 +127,7 @@ func TestDeadlineIs503WithRetryAfter(t *testing.T) {
 // seconds value is what 503 deadline responses advertise, and the zero
 // value (an unset config) keeps the historical 1-second default.
 func TestRetryAfterConfigurable(t *testing.T) {
-	injectExtract(t, func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
+	injectExtract(t, func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -161,7 +161,7 @@ func TestRetryAfterConfigurable(t *testing.T) {
 // deadline counter (and its alerting) must not move for requests nobody is
 // waiting on.
 func TestClientGoneNotCountedAsDeadline(t *testing.T) {
-	injectExtract(t, func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
+	injectExtract(t, func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
 		<-ctx.Done()
 		// Surface the deadline error even though the cause was the client
 		// cancelling — the shape a racing timeout produces.
@@ -197,7 +197,7 @@ func TestClientGoneNotCountedAsDeadline(t *testing.T) {
 // TestClientGoneIsDropped verifies that a disconnected client's extraction
 // is neither answered nor counted as a success or an extraction error.
 func TestClientGoneIsDropped(t *testing.T) {
-	injectExtract(t, func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
+	injectExtract(t, func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})

@@ -27,7 +27,7 @@
 //
 // Query mediation (/query with sources from /sources or -sources-file)
 // turns the server into a MetaQuerier front end: each registered source's
-// interface is extracted by the shared pool, the sources unify into one
+// interface is extracted by the shared extractor, the sources unify into one
 // interface, and a constraint query fans out (bounded by -query-fanout) as
 // native form submissions whose results come back unified with per-source
 // attribution. Dead or unroutable sources degrade the answer — reported in
@@ -38,7 +38,7 @@
 // The server reads and writes with timeouts, drains in-flight requests on
 // SIGINT/SIGTERM (flipping /readyz to 503 first, so cluster peers stop
 // routing here before the listener closes), and serves every extraction
-// from a shared extractor pool over the parse-once default grammar.
+// through one shared extractor over the parse-once default grammar.
 //
 // Cluster mode (-self plus -peers or -peers-file) turns N formserve
 // processes into one sharded service: every request's content-addressed
@@ -398,11 +398,11 @@ type config struct {
 	queryTimeout time.Duration
 }
 
-// server is the service state: one extractor pool shared by all requests,
-// the flight-recorder sink the pool's tracer feeds, and (in cluster mode)
-// this peer's view of the fleet.
+// server is the service state: one extractor shared by all requests, the
+// flight-recorder sink its tracer feeds, and (in cluster mode) this peer's
+// view of the fleet.
 type server struct {
-	pool           *formext.Pool
+	ex             *formext.Extractor
 	sink           *formext.RingSink    // nil when tracing is disabled
 	cluster        *cluster.Cluster     // nil outside cluster mode
 	engine         *metaquery.Engine    // deep-web query mediation (/query, /sources)
@@ -428,9 +428,9 @@ func (s *server) Close() {
 	}
 }
 
-// newHandler builds the service. Extraction is served from a pool of
-// extractors over the shared parse-once grammar; the pool constructor also
-// validates the configuration once at startup. The returned server is an
+// newHandler builds the service. Every extraction is served by one shared
+// extractor over the parse-once grammar; building it also validates the
+// configuration once at startup. The returned server is an
 // http.Handler; callers that enable cluster mode must Close it.
 func newHandler(cfg config) (*server, error) {
 	opts := formext.Options{ParseBudget: cfg.parseBudget}
@@ -452,7 +452,7 @@ func newHandler(cfg config) (*server, error) {
 	} else {
 		activeCache.Store(nil)
 	}
-	pool, err := formext.NewPool(opts)
+	ex, err := formext.New(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +461,7 @@ func newHandler(cfg config) (*server, error) {
 		retryAfter = 1
 	}
 	s := &server{
-		pool:           pool,
+		ex:             ex,
 		sink:           sink,
 		inflight:       &formext.StreamGauge{},
 		mux:            http.NewServeMux(),
@@ -496,7 +496,7 @@ func newHandler(cfg config) (*server, error) {
 	}
 	activeCluster.Store(s.cluster)
 	activeGauge.Store(s.inflight)
-	// The mediation engine shares the pool's tracer so /query spans land in
+	// The mediation engine shares the extractor's tracer so /query spans land in
 	// the same flight recorder as extraction spans.
 	s.engine = metaquery.New(metaquery.Config{
 		MaxFanout: cfg.queryFanout,
@@ -566,22 +566,22 @@ type extractResponse struct {
 	Degraded []string `json:"degraded,omitempty"`
 }
 
-// extract is the pooled extraction the handler runs; a package variable so
-// tests can inject panics and stalls behind the serving boundary.
-var extract = func(ctx context.Context, p *formext.Pool, src []byte) (*formext.Result, error) {
-	return p.ExtractBytes(ctx, src)
+// extract is the extraction the handler runs; a package variable so tests
+// can inject panics and stalls behind the serving boundary.
+var extract = func(ctx context.Context, ex *formext.Extractor, src []byte) (*formext.Result, error) {
+	return ex.ExtractBytes(ctx, src)
 }
 
-// safeExtract is the handler's own panic boundary, behind the pool's: even
-// a panic escaping the library's containment (or injected by a test) is
-// contained to the request that caused it.
+// safeExtract is the handler's own panic boundary, behind the library's:
+// even a panic escaping the library's containment (or injected by a test)
+// is contained to the request that caused it.
 func (s *server) safeExtract(ctx context.Context, src []byte) (res *formext.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &formext.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return extract(ctx, s.pool, src)
+	return extract(ctx, s.ex, src)
 }
 
 // handleExtract is the public extraction endpoint: content-hash
@@ -600,7 +600,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight.Inc()
 	defer s.inflight.Dec()
-	key := s.pool.ExtractKeyBytes(src)
+	key := s.ex.ExtractKeyBytes(src)
 	etag := extractETag(key, r.URL.Query().Get("trees") != "")
 	if s.revalidate(w, r, etag) {
 		return
@@ -641,7 +641,7 @@ func (s *server) handleClusterFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight.Inc()
 	defer s.inflight.Dec()
-	key := s.pool.ExtractKeyBytes(src)
+	key := s.ex.ExtractKeyBytes(src)
 	etag := extractETag(key, r.URL.Query().Get("trees") != "")
 	if s.revalidate(w, r, etag) {
 		return

@@ -1,6 +1,6 @@
 // Deep-web query mediation endpoints: formserve doubles as a MetaQuerier
 // front end. Registered sources (each an endpoint plus the query interface
-// extracted from its HTML by the shared pool) form one unified interface;
+// extracted from its HTML by the shared extractor) form one unified interface;
 // POST /query routes a constraint query across them, translates and
 // submits it natively per source, and unifies the answers. Source
 // registration is live (/sources CRUD) or loaded at startup
@@ -71,7 +71,7 @@ type sourceSummary struct {
 	Method     string `json:"method"`
 }
 
-// registerSource extracts the spec's page through the shared pool and
+// registerSource extracts the spec's page through the shared extractor and
 // upserts the source into the engine. The extraction runs under the same
 // serving deadline as /extract.
 func (s *server) registerSource(ctx context.Context, spec sourceSpec) (sourceSummary, error) {

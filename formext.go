@@ -314,39 +314,38 @@ type Options struct {
 	// labels. Nil (the default) keeps the pipeline on the untraced path,
 	// whose only added cost is the per-stage wall clock reads.
 	Tracer *Tracer
-	// Cache, when non-nil, is consulted by ExtractHTML/ExtractHTMLContext
-	// (and by Pool.Extract and ExtractAll when the options flow through
-	// them): results are addressed by the content hash of the page bytes
-	// plus the grammar and options fingerprints, a hit skips the whole
-	// pipeline, and concurrent identical requests coalesce into a single
-	// extraction. Cached results are frozen and shared — see the Result
-	// ownership rule. One Cache may back any number of extractors with
-	// different options. ExtractTokens is never cached (there are no raw
-	// page bytes to address it by).
+	// Cache, when non-nil, is consulted by every HTML extraction —
+	// ExtractHTML, ExtractHTMLContext, ExtractBytes, and the ExtractAll and
+	// ExtractStream workers when the options flow through them: results are
+	// addressed by the content hash of the page bytes plus the grammar and
+	// options fingerprints, a hit skips the whole pipeline, and concurrent
+	// identical requests coalesce into a single extraction. Cached results
+	// are frozen and shared — see the Result ownership rule. One Cache may
+	// back any number of extractors with different options. ExtractTokens
+	// is never cached (there are no raw page bytes to address it by).
 	Cache *Cache
 }
 
-// Extractor is the form extractor of Figure 2. It is safe to reuse across
-// inputs and safe for concurrent use by multiple goroutines: the grammar
-// and parser it holds are immutable after construction, and all per-parse
-// mutable state (instances, bindings, statistics) is allocated per call.
-// Request-scale servers should still prefer a Pool, which amortizes
-// extractor construction and keeps per-Options extractors warm.
+// Extractor is the form extractor of Figure 2. It holds only immutable
+// configuration — the compiled grammar and 2P schedule, the layout and
+// tokenizer settings, the cache-key prefix — so one Extractor is safe for
+// concurrent use by any number of goroutines and is meant to be shared:
+// the parser pools its own per-parse engines, the front-end arenas are
+// pooled process-wide, and all other per-parse state is allocated per
+// call. Servers build one Extractor at startup and serve every request
+// through it; ExtractAll and ExtractStream share one across their workers.
 //
 // The one caveat: the Grammar returned by Grammar() is shared (for the
 // default options it is shared process-wide) and must not be mutated.
 type Extractor struct {
-	grammar     *grammar.Grammar
-	parser      *core.Parser
-	merger      *merger.Merger
-	layout      *layout.Engine
-	tokenizer   *token.Tokenizer
-	tracer      *Tracer
-	maxDepth    int           // htmlparse.Limits semantics: 0 default, <0 unlimited
-	maxTokens   int           // resolved: 0 means unlimited
-	parseBudget time.Duration // 0 means no budget
-	cache       *Cache        // nil: caching off
-	keyPrefix   [32]byte      // grammar + options fingerprint (always set; keys route with or without a cache)
+	opts      Options
+	grammar   *grammar.Grammar
+	parser    *core.Parser
+	merger    *merger.Merger
+	layout    *layout.Engine
+	tokenizer *token.Tokenizer
+	maxTokens int      // resolved: 0 means unlimited
+	keyPrefix [32]byte // grammar + options fingerprint (always set; keys route with or without a cache)
 }
 
 // New builds an extractor. With no options it uses the embedded derived
@@ -364,29 +363,13 @@ func New(opts ...Options) (*Extractor, error) {
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	g, err := grammarFor(o)
-	if err != nil {
-		return nil, err
+	g := grammar.Default()
+	if o.GrammarSource != "" {
+		var err error
+		if g, err = grammar.ParseDSL(o.GrammarSource); err != nil {
+			return nil, fmt.Errorf("formext: %w", err)
+		}
 	}
-	return newWithGrammar(g, o)
-}
-
-// grammarFor resolves the options' grammar: the process-wide compiled
-// default, or the custom DSL source parsed fresh. Pool caches this result so
-// its miss path never re-parses the DSL.
-func grammarFor(o Options) (*grammar.Grammar, error) {
-	if o.GrammarSource == "" {
-		return grammar.Default(), nil
-	}
-	g, err := grammar.ParseDSL(o.GrammarSource)
-	if err != nil {
-		return nil, fmt.Errorf("formext: %w", err)
-	}
-	return g, nil
-}
-
-// newWithGrammar builds an extractor around an already-compiled grammar.
-func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 	parser, err := core.NewParser(g, core.Options{
 		Thresholds:         o.Thresholds,
 		DisablePreferences: o.DisablePreferences,
@@ -408,16 +391,13 @@ func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 		maxTokens = 0 // unlimited
 	}
 	e := &Extractor{
-		grammar:     g,
-		parser:      parser,
-		merger:      merger.New(g),
-		layout:      eng,
-		tokenizer:   token.NewTokenizer(),
-		tracer:      o.Tracer,
-		maxDepth:    o.MaxDepth,
-		maxTokens:   maxTokens,
-		parseBudget: o.ParseBudget,
-		cache:       o.Cache,
+		opts:      o,
+		grammar:   g,
+		parser:    parser,
+		merger:    merger.New(g),
+		layout:    eng,
+		tokenizer: token.NewTokenizer(),
+		maxTokens: maxTokens,
 	}
 	// The key prefix is computed unconditionally — one hash at construction —
 	// because keys are the coordination currency beyond caching: the cluster
@@ -428,6 +408,9 @@ func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 
 // Grammar returns the grammar the extractor parses against.
 func (e *Extractor) Grammar() *Grammar { return e.grammar }
+
+// Options returns the options the extractor was built with.
+func (e *Extractor) Options() Options { return e.opts }
 
 // ExtractHTML runs the full pipeline on HTML source.
 func (e *Extractor) ExtractHTML(src string) (*Result, error) {
@@ -463,31 +446,19 @@ func (e *Extractor) ExtractHTMLContext(ctx context.Context, src string) (*Result
 // serving pages already held as []byte (formserve request bodies, crawler
 // fetches) skip the page-sized string conversion the string API forces.
 func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
-	if e.cache != nil {
-		return cachedExtract(ctx, e.cache, e.keyPrefix, src, e.tracer, e)
+	if e.opts.Cache != nil {
+		return e.cachedExtract(ctx, src)
 	}
 	return e.extractBytesEvent(ctx, src, "")
-}
-
-// runExtract implements cacheRunner: the uncached pipeline, stamping the
-// cache outcome event into the extraction's trace.
-func (e *Extractor) runExtract(ctx context.Context, src []byte, cacheEvent string) (*Result, error) {
-	return e.extractBytesEvent(ctx, src, cacheEvent)
-}
-
-// extractHTML is ExtractHTMLContext without the cache in front: the
-// returned Result is always non-nil, carrying the tokens and stage timings
-// accumulated up to the point of failure, so a failed page in a batch still
-// reports where its time went. Panics anywhere in the pipeline are
-// recovered into a *PanicError carrying the pre-failure stats.
-func (e *Extractor) extractHTML(ctx context.Context, src string) (*Result, error) {
-	return e.extractBytesEvent(ctx, viewBytes(src), "")
 }
 
 // extractBytesEvent is the uncached pipeline with the cache outcome
 // recorded on the trace: a non-empty cacheEvent (obs.EventCacheMiss on a
 // flight leader) becomes a cache span ahead of the pipeline stages, so
-// /traces shows why this request ran the pipeline at all.
+// /traces shows why this request ran the pipeline at all. The returned
+// Result is always non-nil, carrying the tokens and stage timings
+// accumulated up to the point of failure, and panics anywhere in the
+// pipeline are recovered into a *PanicError carrying the pre-failure stats.
 //
 // The front half runs on a pooled arena bundle: DOM nodes, layout boxes and
 // tokens are carved from slabs instead of allocated one by one. The
@@ -498,7 +469,7 @@ func (e *Extractor) extractHTML(ctx context.Context, src string) (*Result, error
 func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEvent string) (res *Result, err error) {
 	budgetCtx, cancel := e.budgetContext(ctx)
 	defer cancel()
-	tr := e.tracer.Start("extract")
+	tr := e.opts.Tracer.Start("extract")
 	defer tr.End()
 	if cacheEvent != "" {
 		csp := tr.Span(obs.StageCache)
@@ -518,7 +489,7 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 	var doc *htmlparse.Node
 	var trunc htmlparse.Trunc
 	runStage(tr, obs.StageHTMLParse, &res.Stats.Stages.HTMLParse, func(sp *Span) {
-		doc, trunc = htmlparse.ParseBytes(budgetCtx, src, htmlparse.Limits{MaxDepth: e.maxDepth}, &fa.dom)
+		doc, trunc = htmlparse.ParseBytes(budgetCtx, src, htmlparse.Limits{MaxDepth: e.opts.MaxDepth}, &fa.dom)
 		if sp != nil {
 			ds := htmlparse.StatsOf(doc)
 			sp.SetInt("bytes", int64(len(src)))
@@ -605,7 +576,7 @@ func (e *Extractor) ExtractTokensContext(ctx context.Context, toks []*Token) (re
 	}
 	budgetCtx, cancel := e.budgetContext(ctx)
 	defer cancel()
-	tr := e.tracer.Start("extract-tokens")
+	tr := e.opts.Tracer.Start("extract-tokens")
 	defer tr.End()
 	res = &Result{Tokens: toks, Stats: Stats{TraceID: tr.TraceID()}}
 	defer e.contain(tr, res, &err)
@@ -638,8 +609,8 @@ func (e *Extractor) finish(ctx, budgetCtx context.Context, tr *Trace, res *Resul
 // budgetContext derives the deadline context the pipeline stages run under:
 // the caller's ctx, tightened by Options.ParseBudget when one is set.
 func (e *Extractor) budgetContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.parseBudget > 0 {
-		return context.WithTimeout(ctx, e.parseBudget)
+	if e.opts.ParseBudget > 0 {
+		return context.WithTimeout(ctx, e.opts.ParseBudget)
 	}
 	return ctx, func() {}
 }
@@ -716,9 +687,17 @@ func runStage(tr *Trace, name string, d *time.Duration, f func(sp *Span)) {
 	sp.End()
 }
 
-// Tokenize exposes the front half of the pipeline: HTML → layout → tokens.
+// Tokenize exposes the front half of the pipeline: HTML → layout → tokens,
+// under the same MaxDepth and MaxTokens budgets as ExtractHTML, so
+// ExtractTokens(Tokenize(src)) parses exactly the sentence ExtractHTML
+// would.
 func (e *Extractor) Tokenize(src string) []*Token {
-	return e.tokenizer.Tokenize(e.layout.Layout(htmlparse.Parse(src)))
+	doc, _ := htmlparse.ParseContext(context.Background(), src, htmlparse.Limits{MaxDepth: e.opts.MaxDepth})
+	toks := e.tokenizer.Tokenize(e.layout.Layout(doc))
+	if e.maxTokens > 0 && len(toks) > e.maxTokens {
+		toks = toks[:e.maxTokens]
+	}
+	return toks
 }
 
 // DefaultGrammarSource returns the DSL source of the embedded derived

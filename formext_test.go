@@ -329,6 +329,9 @@ func TestBadGrammarRejected(t *testing.T) {
 	if _, err := New(Options{GrammarSource: "terminals text; start Missing;"}); err == nil {
 		t.Error("invalid grammar should fail New")
 	}
+	if _, err := New(Options{}, Options{}); err == nil {
+		t.Error("two Options values should fail New")
+	}
 }
 
 func TestTokenizeExposed(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -98,6 +99,11 @@ func TestHostileTokenFloodCapped(t *testing.T) {
 	// The capped prefix still yields conditions.
 	if len(res.Model.Conditions) == 0 {
 		t.Error("no conditions from the capped prefix")
+	}
+	// Tokenize applies the same budget, so ExtractTokens(Tokenize(src))
+	// parses the sentence ExtractHTML parsed, not the uncapped page.
+	if n := len(ex.Tokenize(widePage(500))); n != 200 {
+		t.Errorf("Tokenize returned %d tokens, want capped at 200", n)
 	}
 }
 
@@ -228,58 +234,51 @@ func TestPanicBecomesPanicError(t *testing.T) {
 	}
 }
 
-// TestPoolDropsPoisonedExtractor verifies the pool boundary: the extractor
-// serving a panicking extraction is abandoned, and the pool keeps serving.
-func TestPoolDropsPoisonedExtractor(t *testing.T) {
-	var arm bool
+// TestPanicDoesNotPoisonSharedExtractor verifies that a contained panic
+// costs only its own request: the same cached Extractor serves the next
+// page correctly, and the panicking page leaves nothing in the cache.
+func TestPanicDoesNotPoisonSharedExtractor(t *testing.T) {
+	var arm atomic.Bool
 	orig := stageHook
 	stageHook = func(stage string) {
-		if arm && stage == "parse" {
-			arm = false
-			panic("injected pool fault")
+		if stage == "parse" && arm.CompareAndSwap(true, false) {
+			panic("injected parse-stage fault")
 		}
 	}
 	t.Cleanup(func() { stageHook = orig })
 
-	pool, err := NewPool()
+	c := mustCache(t, CacheConfig{})
+	ex, err := New(Options{Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm = true
-	_, err = pool.Extract("<form>A <input type=text name=a></form>")
+	arm.Store(true)
+	_, err = ex.ExtractHTML("<form>A <input type=text name=a></form>")
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError from the armed extraction, got %v", err)
 	}
-	// The pool must still serve after dropping the poisoned extractor.
-	res, err := pool.Extract("<form>B <input type=text name=b></form>")
-	if err != nil || len(res.Model.Conditions) == 0 {
-		t.Fatalf("pool did not recover after a contained panic: %v", err)
+	if n := c.Stats().Entries; n != 0 {
+		t.Fatalf("panicking page left %d cache entries", n)
 	}
-}
-
-// TestPoolCachesCompiledGrammar is the regression test for the miss-path
-// re-parse: every extractor a pool constructs must share the one grammar
-// compiled at NewPool, custom DSL included.
-func TestPoolCachesCompiledGrammar(t *testing.T) {
-	pool, err := NewPool(Options{GrammarSource: DefaultGrammarSource()})
+	res, err := ex.ExtractHTML(qaaHTML)
+	if err != nil {
+		t.Fatalf("shared extractor did not recover after a contained panic: %v", err)
+	}
+	fresh, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain the pool so the second Get is a construction miss.
-	ex1, err := pool.Get()
+	want, err := fresh.ExtractHTML(qaaHTML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex2, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
+	if resultJSON(t, res) != resultJSON(t, want) {
+		t.Error("page after the panic differs from a fresh extraction")
 	}
-	if ex1.Grammar() != ex2.Grammar() {
-		t.Error("pool miss compiled a fresh grammar instead of reusing the cached one")
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("cache holds %d entries, want only the healthy page", n)
 	}
-	pool.Put(ex1)
-	pool.Put(ex2)
 }
 
 // TestExtractAllCancelledContext verifies batch cancellation: a cancelled
@@ -318,7 +317,7 @@ func TestExtractAllContainsPanickingPage(t *testing.T) {
 		if strings.Contains(src, "bomb") {
 			panic("injected page bomb")
 		}
-		return ex.extractHTML(ctx, src)
+		return ex.ExtractHTMLContext(ctx, src)
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -401,10 +400,10 @@ func TestExtractTokensRejectsMalformedSets(t *testing.T) {
 }
 
 // TestConcurrentHostileAndHealthy runs hostile and healthy extractions
-// concurrently through one pool: containment on one goroutine must not
-// perturb the others.
+// concurrently through one shared extractor: containment on one goroutine
+// must not perturb the others.
 func TestConcurrentHostileAndHealthy(t *testing.T) {
-	pool, err := NewPool(Options{ParseBudget: 50 * time.Millisecond, MaxTokens: 300})
+	ex, err := New(Options{ParseBudget: 50 * time.Millisecond, MaxTokens: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +416,7 @@ func TestConcurrentHostileAndHealthy(t *testing.T) {
 			src = hostile
 		}
 		go func(src string) {
-			res, err := pool.Extract(src)
+			res, err := ex.ExtractHTML(src)
 			if err != nil {
 				done <- err
 				return

@@ -23,9 +23,9 @@ import (
 	"formext/internal/survey"
 )
 
-// newExtractor builds a default extractor or panics (the embedded grammar
-// is known-good; failure is programmer error).
-func newExtractor(opt ...formext.Options) *formext.Extractor {
+// mustNew builds an extractor or panics (the embedded grammar is
+// known-good; failure is programmer error).
+func mustNew(opt ...formext.Options) *formext.Extractor {
 	ex, err := formext.New(opt...)
 	if err != nil {
 		panic(err)
@@ -111,7 +111,7 @@ func EvaluateDataset(ex *formext.Extractor, name string, srcs []dataset.Source) 
 
 // RunFig15 regenerates Figure 15(a)-(d) over the four datasets.
 func RunFig15(w io.Writer) []Fig15Row {
-	ex := newExtractor()
+	ex := mustNew()
 	var rows []Fig15Row
 	for _, name := range dataset.DatasetNames {
 		srcs, _ := dataset.ByName(name)
@@ -176,7 +176,7 @@ type TimingResult struct {
 // query interfaces with average size 22 takes less than 100 seconds" (on
 // 2004 hardware; we report our measurements for shape, not absolutes).
 func RunTiming(w io.Writer) TimingResult {
-	ex := newExtractor()
+	ex := mustNew()
 	var res TimingResult
 
 	// A single ~25-token interface: the Qaa fixture (measured, not assumed).
@@ -248,7 +248,7 @@ func RunAmbiguity(w io.Writer) []AmbiguityRow {
 	fmt.Fprintf(w, "%-42s %9s %7s %9s %6s %9s %6s\n",
 		"mode", "created", "pruned", "rolledback", "alive", "complete", "trees")
 	for _, m := range modes {
-		ex := newExtractor(m.opt)
+		ex := mustNew(m.opt)
 		start := time.Now()
 		res, err := ex.ExtractHTML(dataset.Figure5Fragment)
 		if err != nil {
@@ -278,7 +278,7 @@ func RunAmbiguity(w io.Writer) []AmbiguityRow {
 // treeSize reports the node count of the surviving parse tree of the
 // Figure 5 fragment under the full algorithm.
 func treeSize() int {
-	ex := newExtractor()
+	ex := mustNew()
 	res, err := ex.ExtractHTML(dataset.Figure5Fragment)
 	if err != nil || len(res.Trees) == 0 {
 		return 0
@@ -298,7 +298,7 @@ type BaselineRow struct {
 // RunBaseline compares the best-effort parser against the pairwise
 // proximity heuristic of prior work (Section 2) on all four datasets.
 func RunBaseline(w io.Writer) []BaselineRow {
-	ex := newExtractor()
+	ex := mustNew()
 	var rows []BaselineRow
 	fmt.Fprintln(w, "Ablation E10: best-effort parser vs pairwise proximity baseline (overall P/R)")
 	fmt.Fprintf(w, "%-10s %9s %9s %12s %12s\n", "dataset", "parser-P", "parser-R", "baseline-P", "baseline-R")
@@ -341,7 +341,7 @@ type RepairRow struct {
 // interfaces of the same domain to arbitrate conflicts, and textual
 // similarity to recover missing elements.
 func RunRepair(w io.Writer) []RepairRow {
-	ex := newExtractor()
+	ex := mustNew()
 	fmt.Fprintln(w, "Extension E11 (Section 7): cross-source conflict repair and missing-element recovery")
 	fmt.Fprintf(w, "%-10s %18s %18s %14s %12s\n", "dataset", "acc before", "acc after", "conflicts", "missing")
 	var rows []RepairRow
@@ -412,11 +412,11 @@ type InduceRow struct {
 // signature and emits DSL for the supported ones), then evaluated against
 // the hand-derived grammar on all four datasets.
 func RunInduce(w io.Writer) []InduceRow {
-	hand := newExtractor()
+	hand := mustNew()
 
 	// Train on Basic: exactly the corpus the hand derivation used.
 	var examples []induce.Example
-	tokEx := newExtractor()
+	tokEx := mustNew()
 	for _, s := range dataset.Basic() {
 		examples = append(examples, induce.Example{Tokens: tokEx.Tokenize(s.HTML), Truth: s.Truth})
 	}
@@ -523,7 +523,7 @@ type PatternRow struct {
 // numbers. Hard (uncaptured) patterns should dominate the losses; if a
 // conventional pattern shows up weak here, the grammar has a gap.
 func RunErrors(w io.Writer) []PatternRow {
-	ex := newExtractor()
+	ex := mustNew()
 	truths := map[int]int{}
 	recalled := map[int]int{}
 	for _, s := range dataset.Basic() {

@@ -132,21 +132,21 @@ func TestTracedExtractionSpanTree(t *testing.T) {
 }
 
 // TestTracerSharedAcrossPool checks the serving-path composition: one
-// tracer on the pool options, distinct trace IDs per request.
+// tracer on the shared extractor's options, distinct trace IDs per request.
 func TestTracerSharedAcrossPool(t *testing.T) {
 	sink := NewRingSink(8)
-	pool, err := NewPool(Options{Tracer: NewTracer(sink)})
+	ex, err := New(Options{Tracer: NewTracer(sink)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := map[string]bool{}
 	for i := 0; i < 3; i++ {
-		res, err := pool.Extract(qamHTML)
+		res, err := ex.ExtractHTML(qamHTML)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.TraceID == "" {
-			t.Fatal("pooled extraction without trace ID")
+			t.Fatal("shared-extractor extraction without trace ID")
 		}
 		ids[res.Stats.TraceID] = true
 	}

@@ -1,147 +1,12 @@
 package formext
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime/debug"
-	"sync"
-)
-
-// newExtractor is the factory behind Pool validation and ExtractAll; a
-// package variable so tests can inject construction failures (the batch
-// path's regression tests need workers whose extractor construction fails
-// after the up-front validation succeeded).
-var newExtractor = func(o Options) (*Extractor, error) { return New(o) }
-
-// newPooledExtractor builds the pool's miss-path extractors around the
-// pool's cached compiled grammar, so a custom GrammarSource is parsed once
-// at NewPool rather than on every pool miss. A package variable for the
-// same fault-injection reason as newExtractor.
-var newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
-	return newWithGrammar(g, o)
-}
-
-// Pool keeps ready-to-use extractors for one Options value, backed by
-// sync.Pool. All pooled extractors share the same compiled grammar and 2P
-// schedule (both immutable; the grammar is compiled once at NewPool and
-// cached, so misses never re-parse a custom GrammarSource), so Get after a
-// warm-up is amortized allocation-free and the pool shrinks under memory
-// pressure like any sync.Pool.
+// Pool is an alias of Extractor, kept so existing callers compile. An
+// Extractor is safe for concurrent use: share one instead of pooling.
 //
-// Observability composes with pooling: when Options.Tracer is set, every
-// pooled extractor records through that one tracer (tracers are safe for
-// concurrent use and issue process-unique trace IDs), so a server attaches
-// a tracer to the pool once and gets a per-request Trace.
+// Deprecated: use Extractor.
+type Pool = Extractor
+
+// NewPool is New under its former name.
 //
-// A Pool is safe for concurrent use; it is the serving-path primitive that
-// cmd/formserve and ExtractAll build on.
-type Pool struct {
-	opts Options
-	g    *Grammar
-	pool sync.Pool
-	// cache and keyPrefix are copied from the validation extractor, so the
-	// pool consults the cache (when Options.Cache is set) before drawing an
-	// extractor at all: a hit (or a coalesced wait) costs no pool traffic
-	// and no pipeline work. keyPrefix is always populated — ExtractKey
-	// routes by it with or without a cache.
-	cache     *Cache
-	keyPrefix [32]byte
-}
-
-// NewPool validates the options by building one extractor and returns a
-// pool keyed to them. The validation extractor primes the pool, and its
-// compiled grammar is cached for every later construction.
-func NewPool(opts ...Options) (*Pool, error) {
-	var o Options
-	if len(opts) > 1 {
-		return nil, fmt.Errorf("formext: at most one Options value")
-	}
-	if len(opts) == 1 {
-		o = opts[0]
-	}
-	ex, err := newExtractor(o)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pool{opts: o, g: ex.Grammar(), cache: ex.cache, keyPrefix: ex.keyPrefix}
-	p.pool.Put(ex)
-	return p, nil
-}
-
-// Options returns the options every pooled extractor is built with.
-func (p *Pool) Options() Options { return p.opts }
-
-// Get returns a ready extractor, constructing one only when the pool is
-// empty. Return it with Put when done.
-func (p *Pool) Get() (*Extractor, error) {
-	if v := p.pool.Get(); v != nil {
-		return v.(*Extractor), nil
-	}
-	return newPooledExtractor(p.g, p.opts)
-}
-
-// Put returns an extractor to the pool. Only extractors obtained from Get
-// on the same pool may be returned: a foreign extractor built with other
-// options would poison every later Get. Putting nil is a no-op.
-func (p *Pool) Put(ex *Extractor) {
-	if ex == nil {
-		return
-	}
-	p.pool.Put(ex)
-}
-
-// Extract runs the full pipeline on HTML source using a pooled extractor:
-// Get, ExtractHTML, Put.
-func (p *Pool) Extract(src string) (*Result, error) {
-	return p.ExtractContext(context.Background(), src)
-}
-
-// ExtractContext is Extract under caller cancellation, with the partial
-// result and budget semantics of Extractor.ExtractHTMLContext.
-//
-// It is also a containment boundary: an extraction that panics (a
-// *PanicError from the pipeline, or a raw panic escaping it) never returns
-// its extractor to the pool — a panic mid-parse can leave the extractor's
-// internals torn, and reusing it would poison an unrelated later request.
-// The extractor is abandoned to the collector and the pool stays healthy.
-//
-// With Options.Cache set, the cache is consulted before any extractor is
-// drawn: hits and coalesced requests return a shared frozen result without
-// touching the pool, and only the flight leader of a miss checks an
-// extractor out.
-func (p *Pool) ExtractContext(ctx context.Context, src string) (*Result, error) {
-	return p.ExtractBytes(ctx, viewBytes(src))
-}
-
-// ExtractBytes is ExtractContext over a byte buffer, with the aliasing
-// contract of Extractor.ExtractBytes: the result (and any cache holding it)
-// reads src in place, so the buffer must not be modified afterwards.
-func (p *Pool) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
-	if p.cache != nil {
-		return cachedExtract(ctx, p.cache, p.keyPrefix, src, p.opts.Tracer, p)
-	}
-	return p.runExtract(ctx, src, "")
-}
-
-// runExtract implements cacheRunner: the uncached pooled extraction.
-func (p *Pool) runExtract(ctx context.Context, src []byte, cacheEvent string) (res *Result, err error) {
-	ex, gerr := p.Get()
-	if gerr != nil {
-		return nil, gerr
-	}
-	healthy := false
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-			return
-		}
-		if healthy {
-			p.Put(ex)
-		}
-	}()
-	res, err = ex.extractBytesEvent(ctx, src, cacheEvent)
-	var pe *PanicError
-	healthy = !errors.As(err, &pe)
-	return res, err
-}
+// Deprecated: use New.
+func NewPool(opts ...Options) (*Pool, error) { return New(opts...) }

@@ -2,11 +2,9 @@ package formext
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Page is one unit of streaming extraction input.
@@ -80,9 +78,9 @@ func (g *StreamGauge) Peak() int64 { return g.peak.Load() }
 
 // StreamOptions configures ExtractStream.
 type StreamOptions struct {
-	// Options are the extractor options applied to every worker; they
-	// compose with streaming exactly as with ExtractAll (pooled extractors,
-	// Options.Cache with singleflight, containment budgets, Tracer spans).
+	// Options configure the one Extractor every worker shares; they
+	// compose with streaming exactly as with ExtractAll (Options.Cache with
+	// singleflight, containment budgets, Tracer spans).
 	Options Options
 	// Workers is the number of concurrent extractions (default GOMAXPROCS).
 	Workers int
@@ -95,17 +93,6 @@ type StreamOptions struct {
 	// Gauge, when non-nil, tracks the in-flight count (see StreamGauge).
 	Gauge *StreamGauge
 }
-
-// Worker extractor construction is retried with exponential backoff before
-// a page is failed: a transient construction failure must not strand the
-// pages a worker has yet to draw (the historical ExtractAll bug: a worker
-// whose pool.Get failed exited permanently, charging every remaining
-// queued page a construction error a retry could have avoided). Package
-// variables so regression tests can tighten the schedule.
-var (
-	getExtractorAttempts = 4
-	getExtractorBackoff  = time.Millisecond
-)
 
 // ExtractStream extracts an unbounded stream of pages concurrently — the
 // crawl-scale ingest path: where ExtractAll materializes a whole batch in
@@ -141,21 +128,26 @@ var (
 // cancellation is the caller's job: track which Seqs arrived and charge
 // the rest to the cancellation, as ExtractAll does.
 //
+// Every worker runs its pages through one Extractor built up front, under
+// a per-page panic boundary: a panicking page fails alone (with a
+// *PanicError) and the worker goes on with the next page on the same
+// Extractor, which holds no per-parse state a panic could tear.
+//
 // An invalid configuration (a malformed GrammarSource, for instance) has
 // no up-front error to return; the stream still honors the contract by
 // failing every admitted page with the construction error. Callers that
-// want eager validation can NewPool(opt.Options) first.
+// want eager validation can call New(opt.Options) first.
 func ExtractStream(ctx context.Context, in <-chan Page, opt StreamOptions) <-chan PageResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool, err := NewPool(opt.Options)
+	ex, err := New(opt.Options)
 	if err != nil {
 		out := make(chan PageResult)
 		go failAll(ctx, in, out, err)
 		return out
 	}
-	return extractStream(ctx, in, opt, pool)
+	return extractStream(ctx, in, opt, ex)
 }
 
 // failAll is the invalid-configuration stream: one error result per page,
@@ -182,10 +174,10 @@ func failAll(ctx context.Context, in <-chan Page, out chan<- PageResult, err err
 	}
 }
 
-// extractStream is ExtractStream over an already-validated pool; ExtractAll
-// calls it directly so configuration errors keep their historical up-front
-// return path.
-func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, pool *Pool) <-chan PageResult {
+// extractStream is ExtractStream over an already-built extractor;
+// ExtractAll calls it directly so a configuration error fails the whole
+// batch up front.
+func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, ex *Extractor) <-chan PageResult {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -199,7 +191,7 @@ func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, pool 
 	}
 	s := &stream{
 		ctx:   ctx,
-		pool:  pool,
+		ex:    ex,
 		gauge: opt.Gauge,
 		out:   make(chan PageResult),
 		// The jobs buffer holds the admitted pages no worker has picked up
@@ -218,11 +210,11 @@ func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, pool 
 }
 
 // stream is one ExtractStream run: an admitter goroutine metering pages
-// from the input channel through the slot semaphore, workers drawing pooled
-// extractors, and a flights map coalescing in-flight duplicates.
+// from the input channel through the slot semaphore, workers sharing one
+// extractor, and a flights map coalescing in-flight duplicates.
 type stream struct {
 	ctx   context.Context
-	pool  *Pool
+	ex    *Extractor
 	gauge *StreamGauge
 	out   chan PageResult
 	jobs  chan streamJob
@@ -301,63 +293,20 @@ func (s *stream) dispatch(seq int, p Page) {
 	s.jobs <- streamJob{seq: seq, page: p, fl: fl}
 }
 
-// worker draws one pooled extractor lazily and runs admitted pages until
-// the jobs queue closes. A panicking extraction abandons the extractor (it
-// may be torn) and the next page draws a fresh one.
+// worker runs admitted pages until the jobs queue closes: extraction,
+// flight resolution, delivery. A page that panics fails alone; the worker
+// and the shared extractor carry on.
 func (s *stream) worker() {
 	defer s.wg.Done()
-	var ex *Extractor
-	defer func() { s.pool.Put(ex) }()
 	for job := range s.jobs {
-		s.process(job, &ex)
-	}
-}
-
-// process runs one canonical page end to end: extractor draw (with retry),
-// extraction, flight resolution, delivery.
-func (s *stream) process(job streamJob, exp **Extractor) {
-	var res *Result
-	var err error
-	if err = s.ctx.Err(); err == nil {
-		if *exp == nil {
-			*exp, err = s.getExtractor()
-		}
+		var res *Result
+		err := s.ctx.Err()
 		if err == nil {
-			res, err = safeExtractPage(s.ctx, *exp, job.page.HTML)
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				*exp = nil
-			}
+			res, err = safeExtractPage(s.ctx, s.ex, job.page.HTML)
 		}
+		s.resolve(job.page.HTML, job.fl, res, err)
+		s.deliver(PageResult{ID: job.page.ID, Seq: job.seq, Result: res, Err: err})
 	}
-	s.resolve(job.page.HTML, job.fl, res, err)
-	s.deliver(PageResult{ID: job.page.ID, Seq: job.seq, Result: res, Err: err})
-}
-
-// getExtractor draws from the pool, retrying transient construction
-// failures with exponential backoff before giving up on the current page.
-// The worker itself never exits on a failure — the next page retries from
-// scratch — so one bad construction can only ever cost one page.
-func (s *stream) getExtractor() (*Extractor, error) {
-	backoff := getExtractorBackoff
-	var err error
-	for attempt := 0; attempt < getExtractorAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-s.ctx.Done():
-				t.Stop()
-				return nil, s.ctx.Err()
-			}
-			backoff *= 2
-		}
-		var ex *Extractor
-		if ex, err = s.pool.Get(); err == nil {
-			return ex, nil
-		}
-	}
-	return nil, err
 }
 
 // resolve publishes a canonical page's outcome to its duplicate waiters.
