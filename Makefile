@@ -23,11 +23,13 @@ parity:
 	go test -run TestCompiledParity -count=1 ./internal/core/
 
 # Allocation-budget guards (testing.AllocsPerRun): the cold serving path
-# must stay under 100 heap allocations per Qam extraction. Run without
-# -race on purpose — race builds degrade sync.Pool, so the pooled front-end
-# arenas would re-allocate and the counts would stop measuring the code.
+# must stay under 100 heap allocations per Qam extraction, and a padded
+# crawl page under fixed allocated-bytes and retained-bytes bounds. Run
+# without -race on purpose — race builds degrade sync.Pool, so the pooled
+# front-end arenas would re-allocate and the counts would stop measuring
+# the code.
 guards:
-	go test -count=1 -run 'AllocationBudget|Allocs' . ./internal/...
+	go test -count=1 -run 'AllocationBudget|Allocs|Retention' . ./internal/...
 
 # Containment gate: the hostile-page corpus (adversarial nesting, token
 # floods, pathological tables, injected panics and stalls) must be survived

@@ -1,13 +1,15 @@
 //go:build !race
 
-// Allocation-budget guards for the serving path. Excluded under the race
-// detector: race builds deliberately degrade sync.Pool (random Put drops),
-// so the pooled front-end arenas re-allocate their slabs and the counts
-// stop measuring the code. `make check` runs these through the dedicated
+// Allocation-budget and retention guards for the serving path. Excluded
+// under the race detector: race builds deliberately degrade sync.Pool
+// (random Put drops), so the pooled front-end arenas re-allocate their
+// slabs and the counts stop measuring the code. `make check` runs these through the dedicated
 // guards target, without -race.
 package formext_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"formext"
@@ -36,5 +38,120 @@ func TestColdExtractAllocationBudget(t *testing.T) {
 	})
 	if allocs >= 100 {
 		t.Errorf("cold Qam extraction allocates %.0f objects per op, want < 100", allocs)
+	}
+}
+
+// Bounds of the padded-page guards below, with headroom over the values
+// measured on go1.24/amd64: ~73 KB retained per frozen result (Freeze
+// charges ~72 KB) and ~120-131 KB allocated per uncached extraction. While
+// results still kept the DOM, the render tree and the page bytes, the same
+// pages retained ~462 KB (charged ~492 KB) and allocated ~583 KB.
+const (
+	retainedBound  = 110_000
+	allocatedBound = 200_000
+)
+
+// paddedCorpus builds n byte-distinct ~48 KB crawl-shaped pages from the
+// generated source corpus.
+func paddedCorpus(t *testing.T, n int) [][]byte {
+	t.Helper()
+	srcs := dataset.NewSource()
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = []byte(paddedPage(srcs[i%len(srcs)].HTML, "", i))
+	}
+	return pages
+}
+
+// settledHeap returns the live heap after the pools (arena bundles, parse
+// engines) have been shed: sync.Pool survives one GC in its victim cache,
+// so two cycles leave only what something still references.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFrozenResultRetention guards what a cached result keeps resident on
+// crawl-shaped padded pages. Results own only their token arena, parse
+// graph and model — not the DOM, the render tree or the page bytes — so a
+// frozen result must stay under a fixed retained-heap bound, and the cost
+// Freeze charges the cache must track that measured retention within 2x
+// (an undercount lets the cache overrun its budget, an overcount evicts
+// for nothing).
+func TestFrozenResultRetention(t *testing.T) {
+	const n = 24
+	pages := paddedCorpus(t, n)
+	c, err := formext.NewCache(formext.CacheConfig{MaxBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := formext.New(formext.Options{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before := settledHeap()
+	for _, page := range pages {
+		// A private copy per request: a result that aliased its source
+		// would keep the copy alive and show up in the measurement.
+		if _, err := ex.ExtractBytes(ctx, append([]byte(nil), page...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := settledHeap()
+	// Everything allocated before the baseline must stay live through the
+	// second reading, or its collection would be subtracted from the
+	// results' retention.
+	runtime.KeepAlive(pages)
+	runtime.KeepAlive(ex)
+	st := c.Stats()
+	if st.Entries != n {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, n)
+	}
+	retained := int64(after-before) / n
+	cost := st.Bytes / n
+	t.Logf("per frozen result: retained %d B, Freeze cost %d B", retained, cost)
+	if retained > retainedBound {
+		t.Errorf("a frozen padded-page result retains %d B, want <= %d", retained, retainedBound)
+	}
+	if cost > 2*retained || retained > 2*cost {
+		t.Errorf("Freeze cost %d B is not within 2x of the %d B the result retains", cost, retained)
+	}
+}
+
+// TestPaddedExtractAllocationBudget guards the bytes one uncached extraction
+// of a crawl-shaped padded page allocates. The DOM and layout arenas keep
+// their blocks between extractions, so steady-state allocation is the
+// token arena handed to the result plus the parse itself — not a fresh
+// DOM and render tree per page.
+func TestPaddedExtractAllocationBudget(t *testing.T) {
+	pages := paddedCorpus(t, 16)
+	ex, err := formext.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	extractAll := func() {
+		for _, page := range pages {
+			if _, err := ex.ExtractBytes(ctx, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	extractAll() // warm pools
+	const rounds = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		extractAll()
+	}
+	runtime.ReadMemStats(&after)
+	perExtract := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(pages))
+	t.Logf("allocated per padded extraction: %d B", perExtract)
+	if perExtract > allocatedBound {
+		t.Errorf("a padded-page extraction allocates %d B, want <= %d", perExtract, allocatedBound)
 	}
 }

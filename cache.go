@@ -18,8 +18,8 @@ import (
 // CacheConfig sizes an extraction Cache.
 type CacheConfig struct {
 	// MaxBytes is the total budget, in approximate bytes of frozen results
-	// (the cost model counts tokens, parse-tree instances, memoized texts,
-	// the semantic model, and a DOM-size proxy). Must be positive — "no
+	// (the cost model counts tokens and their arena, parse-tree instances,
+	// memoized texts and the semantic model). Must be positive — "no
 	// cache" is expressed by leaving Options.Cache nil.
 	MaxBytes int64
 	// TTL bounds entry lifetime; 0 means entries live until evicted by
@@ -135,7 +135,9 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 // severs the parser's rollback edges (Instance.Parents — only the parse
 // itself needs them, and they lead into the dead-instance majority no
 // reader should traverse), and records the result's approximate byte
-// footprint for cache accounting.
+// footprint for cache accounting. The result owns every string it exposes
+// (tokens copy theirs into the token arena, the envelope clones its own),
+// so a frozen result pins neither the page bytes nor a DOM.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
@@ -161,10 +163,10 @@ func (r *Result) Freeze() *Result {
 		cost += tokenCost(t)
 	}
 	cost += modelCost(r.Model)
-	// What the front-end arenas handed over (DOM slabs, render text, token
-	// slabs, the aliased source buffer). Token and node string fields were
-	// already counted above, but they alias slab or source memory rather
-	// than own it, so the sum does not double-count by much — and cache
+	// The token arena the front end handed over: the only front-end memory
+	// a result keeps, since the DOM and layout arenas are recycled and
+	// nothing aliases the page bytes. Token fields were already counted
+	// above and live in these slabs, so the sum double-counts them — cache
 	// accounting prefers a slight overestimate.
 	cost += r.arenaBytes
 	r.cost = cost
@@ -277,9 +279,9 @@ func (e *Extractor) cachedExtract(ctx context.Context, src []byte) (*Result, err
 		if rerr != nil || res == nil || !res.cacheable() {
 			return res, 0, false, rerr
 		}
-		// Freeze folds in arenaBytes — the exact size of the DOM, text and
-		// token slabs the result retains plus the source buffer it aliases —
-		// which replaced the 2x-page-bytes proxy this charge used to add.
+		// Freeze folds in arenaBytes, the token slabs the result retains.
+		// Nothing in the result aliases src, so the page bytes are not
+		// charged: the caller may reuse its buffer once this returns.
 		res.Freeze()
 		return res, res.cost, true, nil
 	})

@@ -113,6 +113,83 @@ func TestExtractBodyReadErrorIs400(t *testing.T) {
 	}
 }
 
+// TestExtractChunkedBody: a body sent without a Content-Length (chunked
+// transfer encoding) is read in full and extracted.
+func TestExtractChunkedBody(t *testing.T) {
+	srv := newTestServer(t)
+	form := `<form action="/s">Author <input type="text" name="a"></form>`
+	// Hiding the reader's concrete type keeps the client from computing a
+	// Content-Length, so the body goes out chunked.
+	body := struct{ io.Reader }{strings.NewReader(form)}
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/extract", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.ContentLength != 0 {
+		t.Fatalf("request declares Content-Length %d, want none", req.ContentLength)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	var out extractResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Model == nil || len(out.Model.Conditions) != 1 || out.Model.Conditions[0].Attribute != "Author" {
+		t.Errorf("chunked body extracted to %+v, want one Author condition", out.Model)
+	}
+}
+
+// TestExtractChunkedBodyTooLargeIs413: without a declared length the cap
+// is enforced while reading.
+func TestExtractChunkedBodyTooLargeIs413(t *testing.T) {
+	srv := newTestServer(t)
+	body := struct{ io.Reader }{strings.NewReader(strings.Repeat("x", maxBody+1))}
+	resp, err := http.Post(srv.URL+"/extract", "text/html", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestExtractDeclaredLengthChecks drives readPage's Content-Length path
+// directly: a declared length over the cap is refused with 413 before the
+// body is read, and a body shorter than its declared length — or one that
+// breaks off — is a 400, never a truncated extraction.
+func TestExtractDeclaredLengthChecks(t *testing.T) {
+	h, err := newHandler(config{traceBuffer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		n    int64
+		want int
+	}{
+		{"over cap", strings.NewReader("<form></form>"), maxBody + 1, http.StatusRequestEntityTooLarge},
+		{"short body", strings.NewReader("<form>"), 4096, http.StatusBadRequest},
+		{"aborted body", io.MultiReader(strings.NewReader("<form>"), brokenReader{}), 4096, http.StatusBadRequest},
+		{"exact", strings.NewReader("<form></form>"), int64(len("<form></form>")), http.StatusOK},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/extract", tc.body)
+		req.ContentLength = tc.n
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	srv := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/healthz")

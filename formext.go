@@ -217,10 +217,8 @@ type Result struct {
 	frozen bool
 	cost   int64
 	// arenaBytes is what the front end handed over when its arenas were
-	// released: the DOM, render-text and token slabs the result retains,
-	// plus the source buffer the tree aliases. Freeze folds it into cost,
-	// replacing the page-size proxy the cache used before arenas made the
-	// figure exact.
+	// released: the token slabs, the only front-end memory the result
+	// retains. Freeze folds it into cost.
 	arenaBytes int64
 }
 
@@ -434,15 +432,18 @@ func (e *Extractor) ExtractHTML(src string) (*Result, error) {
 // With Options.Cache set, the raw page bytes are hashed first: a hit
 // returns a shared frozen result without running any stage, and concurrent
 // identical misses coalesce into one extraction.
+//
+// The Result does not alias src: once the call returns, the string's
+// backing memory (for example a buffer viewed through unsafe.String) may
+// be reused.
 func (e *Extractor) ExtractHTMLContext(ctx context.Context, src string) (*Result, error) {
 	return e.ExtractBytes(ctx, viewBytes(src))
 }
 
 // ExtractBytes is ExtractHTMLContext over a byte buffer. The whole front
-// end — cache-key hashing, lexing, the DOM — reads src in place, and the
-// resulting tree and tokens alias it wherever the syntax allows, so src
-// must not be modified for as long as the Result (or any cache holding it)
-// is alive. Callers that reuse their buffer must copy first; callers
+// end — cache-key hashing, lexing, the DOM — reads src in place, but the
+// Result keeps copies of every string it needs, never src itself, so the
+// caller may reuse or overwrite src as soon as the call returns. Callers
 // serving pages already held as []byte (formserve request bodies, crawler
 // fetches) skip the page-sized string conversion the string API forces.
 func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
@@ -462,10 +463,11 @@ func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, erro
 //
 // The front half runs on a pooled arena bundle: DOM nodes, layout boxes and
 // tokens are carved from slabs instead of allocated one by one. The
-// deferred release hands the retained blocks to the Result (recording their
-// size for cache accounting) and returns the emptied bundle to the pool —
-// on every exit path, panics included, so a torn extraction can never leak
-// a half-filled arena back into circulation.
+// deferred release recycles the DOM and layout blocks, hands the token
+// blocks to the Result (recording their size for cache accounting) and
+// returns the bundle to the pool — on every exit path, panics included, so
+// a torn extraction can never leak a half-filled arena back into
+// circulation.
 func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEvent string) (res *Result, err error) {
 	budgetCtx, cancel := e.budgetContext(ctx)
 	defer cancel()
@@ -480,9 +482,7 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 	defer e.contain(tr, res, &err)
 	fa := frontArenas.Get().(*frontArena)
 	defer func() {
-		// The tree aliases src zero-copy, so the source buffer itself is
-		// part of what the result keeps resident.
-		res.arenaBytes = fa.release() + int64(len(src))
+		res.arenaBytes = fa.release()
 		frontArenas.Put(fa)
 	}()
 

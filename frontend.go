@@ -16,21 +16,26 @@ import (
 // bundle, and a warm bundle's block lists and scratch buffers carry their
 // capacity into the next extraction.
 //
-// Ownership follows the slab discipline the core parser set: the produced
-// tree, render text and tokens retain arena memory, so the extraction
-// releases the bundle (handing the retained blocks to the Result) before
-// returning it to the pool. Release is wired through a defer so a panic
-// anywhere in the pipeline still leaves the bundle empty and poolable.
+// Ownership: the token arena is the only front-end memory a Result keeps.
+// The tokenizer copies every string it stores into that arena, and the
+// submission envelope clones its own, so nothing the Result holds points
+// into the DOM, the render tree or the page bytes. Releasing the bundle
+// therefore hands the token blocks to the Result and recycles the DOM and
+// layout blocks, zeroed, for the next extraction. Release is wired through
+// a defer so a panic anywhere in the pipeline still leaves the bundle
+// empty and poolable.
 type frontArena struct {
 	dom htmlparse.Arena
 	lay layout.Arena
 	tok token.Arena
 }
 
-// release hands every retained block to the result and returns the
-// approximate number of bytes the result now owns, for cache accounting.
+// release recycles the DOM and layout arenas, hands the token blocks to
+// the result and returns their approximate size, for cache accounting.
 func (fa *frontArena) release() int64 {
-	return fa.dom.Release() + fa.lay.Release() + fa.tok.Release()
+	fa.dom.Release()
+	fa.lay.Release()
+	return fa.tok.Release()
 }
 
 var frontArenas = sync.Pool{New: func() any { return new(frontArena) }}

@@ -5,15 +5,13 @@ import "formext/internal/slab"
 // Arena supplies every allocation a parse makes: Node structs, child
 // pointer slices, attribute slices, and the byte backing of decoded text
 // and uncommon names. One arena serves one parse at a time; the facade
-// pools arenas per extractor so a cold extraction reuses warmed block
-// lists instead of allocating per node.
+// pools arenas so a cold extraction reuses warmed block lists instead of
+// allocating per node.
 //
-// Ownership follows the core parser's slab discipline: the produced tree
-// retains memory carved from the arena, so after a parse whose tree
-// outlives the run (a Result), call Release — the blocks are handed over
-// to the tree and the arena starts empty. Scratch state that the tree
-// never references (the element stack) survives Release and keeps its
-// capacity across parses.
+// The produced tree lives only until Release: nothing downstream of
+// tokenization reads the DOM (the tokenizer copies what it keeps), so
+// Release recycles every block for the next parse instead of handing it
+// over. A caller that wants to keep a tree parses without an arena.
 type Arena struct {
 	nodes    slab.Slab[Node]
 	children slab.Slab[*Node]
@@ -23,26 +21,22 @@ type Arena struct {
 	stack []openElem // parse-time element stack, reused across parses
 }
 
-// nodeBytes approximates the retained size of one Node for cache cost
-// accounting (struct plus the child-pointer slot its parent holds).
-const nodeBytes = 96
-
-// Release hands the parsed tree its memory and returns the approximate
-// number of retained bytes. The arena is immediately reusable; only the
-// scratch stack's capacity carries over.
+// Release ends the tree's life: every slab is zeroed and kept for the next
+// parse, and the scratch stack keeps its capacity. Nodes, attribute values
+// and text carved from the arena must not be used afterwards. It returns
+// the bytes handed over to the caller, which is always 0 now that the
+// arena keeps its blocks; the result is kept for callers written against
+// the hand-over API.
 func (a *Arena) Release() int64 {
 	if a == nil {
 		return 0
 	}
-	n := a.nodes.Drop()*nodeBytes + a.children.Drop()*8 + a.attrs.Drop()*32 + a.text.Drop()
-	// Clear the whole stack capacity: truncation after a parse leaves node
-	// pointers in the tail that would otherwise pin the handed-over tree.
-	full := a.stack[:cap(a.stack)]
-	for i := range full {
-		full[i] = openElem{}
-	}
-	a.stack = full[:0]
-	return n
+	a.nodes.Reset()
+	a.children.Reset()
+	a.attrs.Reset()
+	a.text.Reset()
+	a.stack = a.stack[:0]
+	return 0
 }
 
 // newNode carves a node. Nil-arena calls fall back to the heap, keeping

@@ -5,27 +5,25 @@ import (
 	"formext/internal/slab"
 )
 
-// Arena supplies every allocation a layout run makes. Box structs, the
-// child-pointer slices behind Box.Children, and the joined text behind
-// TextBox.Text are retained by the produced render tree, so Release hands
-// their blocks over (the core slab discipline); everything else — flow
-// structs, table grids, column widths, the cell-measure memo — is scratch
-// that only lives for the run but is carved from the same arena so a run
-// performs no per-node heap allocation at all.
+// Arena supplies every allocation a layout run makes: Box structs, the
+// child-pointer slices behind Box.Children, the joined text behind
+// TextBox.Text, and the run's scratch — flow structs, table grids, column
+// widths, the cell-measure memo — so a run performs no per-node heap
+// allocation at all.
 //
-// One arena serves one layout run at a time. The facade pools arenas per
-// extractor; the zero value is ready to use, and a nil *Arena makes every
-// helper fall back to plain heap allocation, which keeps Engine.Layout
-// usable without one.
+// The render tree lives only until Release: the tokenizer copies whatever
+// it keeps, so Release resets every slab — blocks are zeroed and kept for
+// the next run instead of re-allocated per extraction — and clears the
+// memo map for reuse.
+//
+// One arena serves one layout run at a time. The facade pools arenas; the
+// zero value is ready to use, and a nil *Arena makes every helper fall
+// back to plain heap allocation, which keeps Engine.Layout usable without
+// one.
 type Arena struct {
-	boxes slab.Slab[Box]
-	ptrs  slab.Slab[*Box]
-	text  slab.Bytes
-
-	// Scratch. Nothing retains objects carved from the slabs below, so
-	// Release resets them — blocks are zeroed and kept for the next run
-	// instead of re-allocated per extraction — and the memo map is cleared
-	// and reused the same way.
+	boxes   slab.Slab[Box]
+	ptrs    slab.Slab[*Box]
+	text    slab.Bytes
 	flows   slab.Slab[flow]
 	rows    slab.Slab[*htmlparse.Node]
 	cells   slab.Slab[tableCell]
@@ -36,20 +34,19 @@ type Arena struct {
 	measure map[*htmlparse.Node]float64
 }
 
-// boxBytes approximates the retained size of one Box for cache cost
-// accounting (struct plus the child-pointer slot its parent holds).
-const boxBytes = 96
-
-// Release hands the render tree its memory and returns the approximate
-// number of retained bytes. Scratch slabs are reset, not dropped: the tree
-// does not reference them, so their zeroed blocks carry over to the next
-// run (Reset's clearing also unpins the released tree — recycled flow and
-// grid structs hold box pointers until overwritten otherwise).
+// Release ends the render tree's life and recycles the arena for the next
+// run; boxes and text carved from it must not be used afterwards (Reset's
+// zeroing also unpins the DOM the boxes pointed at). It returns the bytes
+// handed over to the caller, which is always 0 now that the arena keeps
+// its blocks; the result is kept for callers written against the
+// hand-over API.
 func (a *Arena) Release() int64 {
 	if a == nil {
 		return 0
 	}
-	n := a.boxes.Drop()*boxBytes + a.ptrs.Drop()*8 + a.text.Drop()
+	a.boxes.Reset()
+	a.ptrs.Reset()
+	a.text.Reset()
 	a.flows.Reset()
 	a.rows.Reset()
 	a.cells.Reset()
@@ -58,7 +55,7 @@ func (a *Arena) Release() int64 {
 	a.nums.Reset()
 	a.spans = a.spans[:0]
 	clear(a.measure)
-	return n
+	return 0
 }
 
 func (a *Arena) newBox() *Box {

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"formext/internal/dataset"
@@ -51,7 +52,9 @@ func TestLayoutArenaIdentity(t *testing.T) {
 }
 
 // TestLayoutArenaReuse: an arena must stay correct when reused across many
-// runs (block recycling, memo clearing, scratch truncation).
+// runs (block recycling, memo clearing, scratch truncation), and Release
+// must keep its blocks: once warm, a run allocates a few small objects,
+// never a box, pointer or text block again.
 func TestLayoutArenaReuse(t *testing.T) {
 	e := New()
 	ctx := context.Background()
@@ -64,8 +67,19 @@ func TestLayoutArenaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		boxesEqual(t, "root", want, got)
-		if n := a.Release(); n <= 0 {
-			t.Fatalf("run %d: Release reported %d retained bytes", i, n)
+		if n := a.Release(); n != 0 {
+			t.Fatalf("run %d: Release handed over %d bytes, want 0", i, n)
 		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.LayoutArena(ctx, doc, &a)
+		a.Release()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 1024 {
+		t.Errorf("warm arena layout allocates %d bytes per run, want <= 1024", perRun)
 	}
 }

@@ -5,9 +5,9 @@
 // handful of allocations instead of one per object. The design follows the
 // core parser's instance slabs: allocation only ever moves forward, there
 // is no per-object free, and the owner decides per slab whether to Drop it
-// (the carved objects outlive the run — e.g. DOM nodes retained by a
-// Result) or Reset it for reuse (pure scratch — e.g. layout boxes, which
-// no Result retains).
+// (the carved objects outlive the run — e.g. tokens retained by a Result)
+// or Reset it for reuse (objects that die with the run — e.g. DOM nodes
+// and layout boxes, which no Result retains).
 //
 // Slabs are single-goroutine state, like everything else that is per-parse
 // mutable; callers pool whole arenas, not individual slabs.

@@ -35,14 +35,15 @@ type FormInfo struct {
 // every extraction, so the scan recurses over the tree directly (no
 // visitor stacks, no materialized node lists) and compares attribute
 // values case-insensitively in place instead of lowering them into fresh
-// strings.
+// strings. Every string the envelope keeps is cloned, so it outlives the
+// document (the facade recycles the DOM arena once extraction ends).
 func FormInfoOf(doc *htmlparse.Node) FormInfo {
 	info := FormInfo{Method: "get", Hidden: url.Values{}}
 	form := findForm(doc)
 	if form == nil {
 		return info
 	}
-	info.Action = form.AttrOr("action", "")
+	info.Action = strings.Clone(form.AttrOr("action", ""))
 	if strings.EqualFold(form.AttrOr("method", "get"), "post") {
 		info.Method = "post"
 	}
@@ -54,6 +55,7 @@ func FormInfoOf(doc *htmlparse.Node) FormInfo {
 // document order. On single-form pages (the overwhelmingly common case)
 // it costs the same as FormInfoOf: the control inventory is only gathered
 // when there are two or more forms and something must choose between them.
+// Like FormInfoOf, the envelopes own their strings.
 func FormInfosOf(doc *htmlparse.Node) []FormInfo {
 	var forms []*htmlparse.Node
 	forms = findForms(doc, forms)
@@ -63,7 +65,7 @@ func FormInfosOf(doc *htmlparse.Node) []FormInfo {
 	infos := make([]FormInfo, len(forms))
 	for i, form := range forms {
 		infos[i] = FormInfo{Method: "get", Hidden: url.Values{}}
-		infos[i].Action = form.AttrOr("action", "")
+		infos[i].Action = strings.Clone(form.AttrOr("action", ""))
 		if strings.EqualFold(form.AttrOr("method", "get"), "post") {
 			infos[i].Method = "post"
 		}
@@ -101,7 +103,7 @@ func collectControls(n *htmlparse.Node, out []string) []string {
 				fallthrough
 			case "select", "textarea", "button":
 				if name, ok := c.Attr("name"); ok && name != "" {
-					out = append(out, name)
+					out = append(out, strings.Clone(name))
 				}
 			}
 		}
@@ -170,7 +172,7 @@ func collectHidden(n *htmlparse.Node, hidden url.Values) {
 		if c.Type == htmlparse.ElementNode && c.Tag == "input" &&
 			strings.EqualFold(c.AttrOr("type", ""), "hidden") {
 			if name, ok := c.Attr("name"); ok && name != "" {
-				hidden.Add(name, c.AttrOr("value", ""))
+				hidden.Add(strings.Clone(name), strings.Clone(c.AttrOr("value", "")))
 			}
 		}
 		collectHidden(c, hidden)

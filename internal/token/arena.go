@@ -8,10 +8,11 @@ import (
 
 // Arena supplies every allocation a tokenize pass makes: Token structs,
 // the token pointer slice, option string slices, and the byte backing of
-// merged labels and option texts. The produced token set retains arena
-// memory, so Release hands the blocks over once the result takes
-// ownership; the traversal stack and inner-text buffer are scratch that
-// survives Release with capacity intact.
+// every string a token stores (labels, names, values, ids, option texts).
+// It is the only front-end memory a Result keeps: the produced token set
+// retains arena memory, so Release hands the blocks over once the result
+// takes ownership; the traversal stack and inner-text buffer are scratch
+// that survives Release with capacity intact.
 type Arena struct {
 	toks slab.Slab[Token]
 	ptrs slab.Slab[*Token]
@@ -69,6 +70,18 @@ func (a *Arena) appendString(dst []string, s string) []string {
 		return append(dst, s)
 	}
 	return a.strs.Append(dst, s)
+}
+
+// keep copies s into the arena, so the token holding it stops referencing
+// the DOM, the render text or the page bytes; without an arena s is kept
+// as is (the heap tree it aliases is garbage-collected normally).
+func (a *Arena) keep(s string) string {
+	if a == nil || s == "" {
+		return s
+	}
+	a.text.BeginRun()
+	a.text.AppendString(s)
+	return a.text.EndRun()
 }
 
 // joinLabel builds "prev SPACE s" for a text-token merge; without an arena

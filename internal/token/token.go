@@ -77,8 +77,6 @@ type Token struct {
 	// regardless of geometry.
 	ForID  string
 	ElemID string
-	// Node is the originating DOM node (text node for text tokens).
-	Node *htmlparse.Node
 }
 
 // IsWidget reports whether the token is a form-input widget (as opposed to
@@ -118,10 +116,16 @@ func (tz *Tokenizer) Tokenize(root *layout.Box) []*Token {
 // TokenizeArena is Tokenize with every allocation drawn from the arena
 // (nil runs without one). The render tree is traversed directly with the
 // arena's scratch stack — the leaf visit is fused into the walk instead of
-// materializing a Leaves slice. The returned tokens retain arena memory:
-// release the arena once the result takes ownership.
+// materializing a Leaves slice. Every string a token stores is copied into
+// the arena, so the returned tokens reference neither the DOM, the render
+// tree nor the page bytes: those may be recycled as soon as this returns.
+// The tokens retain arena memory instead: release the arena once the
+// result takes ownership.
 func (tz *Tokenizer) TokenizeArena(root *layout.Box, a *Arena) []*Token {
 	var toks []*Token
+	// prevBlock is the containing block of the last text or link token,
+	// the merge test's stand-in for the DOM node tokens no longer keep.
+	var prevBlock *htmlparse.Node
 	var stack []*layout.Box
 	if a != nil {
 		stack = append(a.stack[:0], root)
@@ -144,14 +148,14 @@ func (tz *Tokenizer) TokenizeArena(root *layout.Box, a *Arena) []*Token {
 		}
 		switch leaf.Kind {
 		case layout.TextBox:
-			toks = tz.addText(toks, leaf, a)
+			toks, prevBlock = tz.addText(toks, leaf, prevBlock, a)
 		case layout.WidgetBox:
 			if t := widgetToken(leaf, a); t != nil {
 				toks = a.appendToken(toks, t)
 			}
 		case layout.RuleBox:
 			t := a.newToken()
-			t.Type, t.Pos, t.Node = Rule, leaf.Rect, leaf.Node
+			t.Type, t.Pos = Rule, leaf.Rect
 			toks = a.appendToken(toks, t)
 		}
 	}
@@ -166,10 +170,12 @@ func (tz *Tokenizer) TokenizeArena(root *layout.Box, a *Arena) []*Token {
 // in render order (guaranteed because merging only considers the
 // immediately preceding token), and the same containing block — text in
 // adjacent table cells is two labels even when the cells nearly touch.
-func (tz *Tokenizer) addText(toks []*Token, leaf *layout.Box, a *Arena) []*Token {
+// prevBlock is the containing block of the previous text token; the block
+// of the run just handled is returned for the next call.
+func (tz *Tokenizer) addText(toks []*Token, leaf *layout.Box, prevBlock *htmlparse.Node, a *Arena) ([]*Token, *htmlparse.Node) {
 	s := strings.TrimSpace(leaf.Text)
 	if s == "" {
-		return toks
+		return toks, prevBlock
 	}
 	anchor := enclosingAnchor(leaf.Node)
 	typ := Text
@@ -179,20 +185,21 @@ func (tz *Tokenizer) addText(toks []*Token, leaf *layout.Box, a *Arena) []*Token
 		href = anchor.AttrOr("href", "")
 	}
 	forID := enclosingLabelFor(leaf.Node)
+	block := containingBlock(leaf.Node)
 	if n := len(toks); n > 0 {
 		prev := toks[n-1]
 		if prev.Type == typ && sameLine(prev.Pos, leaf.Rect) &&
 			leaf.Rect.X1-prev.Pos.X2 <= tz.MergeGap && leaf.Rect.X1 >= prev.Pos.X1 &&
-			containingBlock(prev.Node) == containingBlock(leaf.Node) &&
+			prevBlock == block &&
 			(typ != Link || prev.Name == href) && prev.ForID == forID {
 			prev.SVal = a.joinLabel(prev.SVal, s)
 			prev.Pos = prev.Pos.Union(leaf.Rect)
-			return toks
+			return toks, block
 		}
 	}
 	t := a.newToken()
-	t.Type, t.SVal, t.Name, t.ForID, t.Pos, t.Node = typ, s, href, forID, leaf.Rect, leaf.Node
-	return a.appendToken(toks, t)
+	t.Type, t.SVal, t.Name, t.ForID, t.Pos = typ, a.keep(s), a.keep(href), a.keep(forID), leaf.Rect
+	return a.appendToken(toks, t), block
 }
 
 // enclosingLabelFor returns the for attribute of the nearest enclosing
@@ -250,7 +257,7 @@ func sameLine(a, b geom.Rect) bool {
 func widgetToken(leaf *layout.Box, a *Arena) *Token {
 	n := leaf.Node
 	t := a.newToken()
-	t.Pos, t.Node, t.Name, t.ElemID = leaf.Rect, n, n.AttrOr("name", ""), n.AttrOr("id", "")
+	t.Pos, t.Name, t.ElemID = leaf.Rect, a.keep(n.AttrOr("name", "")), a.keep(n.AttrOr("id", ""))
 	switch n.Tag {
 	case "input":
 		switch strings.ToLower(n.AttrOr("type", "text")) {
@@ -260,13 +267,13 @@ func widgetToken(leaf *layout.Box, a *Arena) *Token {
 			t.Type = Checkbox
 		case "submit", "image":
 			t.Type = Submit
-			t.SVal = n.AttrOr("value", "Submit")
+			t.SVal = a.keep(n.AttrOr("value", "Submit"))
 		case "reset":
 			t.Type = Reset
-			t.SVal = n.AttrOr("value", "Reset")
+			t.SVal = a.keep(n.AttrOr("value", "Reset"))
 		case "button":
 			t.Type = Button
-			t.SVal = n.AttrOr("value", "")
+			t.SVal = a.keep(n.AttrOr("value", ""))
 		case "password":
 			t.Type = Password
 		case "file":
@@ -274,7 +281,7 @@ func widgetToken(leaf *layout.Box, a *Arena) *Token {
 		default:
 			t.Type = Textbox
 		}
-		t.Value = n.AttrOr("value", "")
+		t.Value = a.keep(n.AttrOr("value", ""))
 		t.Checked = n.HasAttr("checked")
 	case "select":
 		t.Type = SelectList
@@ -287,7 +294,7 @@ func widgetToken(leaf *layout.Box, a *Arena) *Token {
 		t.SVal = a.innerText(n)
 	case "img":
 		t.Type = Image
-		t.SVal = n.AttrOr("alt", "")
+		t.SVal = a.keep(n.AttrOr("alt", ""))
 	default:
 		return nil
 	}
@@ -302,7 +309,11 @@ func collectOptions(n *htmlparse.Node, t *Token, a *Arena) {
 		if c.Type == htmlparse.ElementNode && c.Tag == "option" {
 			text := a.innerText(c)
 			t.Options = a.appendString(t.Options, text)
-			t.OptionValues = a.appendString(t.OptionValues, c.AttrOr("value", text))
+			value := text
+			if v, ok := c.Attr("value"); ok {
+				value = a.keep(v)
+			}
+			t.OptionValues = a.appendString(t.OptionValues, value)
 		}
 		collectOptions(c, t, a)
 	}
