@@ -3,7 +3,7 @@
 # the shared extractor, batch, formserve — is exercised by design), and
 # keep the compiled evaluation plan differentially equal to the
 # interpreted oracle.
-.PHONY: check build vet test parity guards hostile bench bench-smoke bench-cache bench-frontend bench-parser bench-stream cluster-smoke bench-cluster bench-query
+.PHONY: check build vet test parity guards hostile fuzz-smoke bench bench-smoke bench-cache bench-frontend bench-parser bench-stream cluster-smoke bench-cluster bench-query
 
 check: build vet test parity guards
 
@@ -38,6 +38,15 @@ guards:
 # containment run whole, so no hand-kept test list can drift out of date.
 hostile:
 	go test -race -timeout 120s -count=1 . ./internal/htmlparse/ ./internal/layout/ ./cmd/formserve/
+
+# Fuzz smoke: ten seconds each of the lexer differential (the zero-copy
+# lexer against the reference lexer kept in its tests), the tree builder
+# and name interning, on top of their seed corpora. New crashers land in
+# internal/htmlparse/testdata/fuzz and fail the target.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzLexerDifferential$$' -fuzztime 10s ./internal/htmlparse/
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/htmlparse/
+	go test -run '^$$' -fuzz '^FuzzInternName$$' -fuzztime 10s ./internal/htmlparse/
 
 # Run every Go benchmark in the module. The end-to-end serving and tracing
 # figures are BENCHMARK.json's traced run (obs.overhead_us, obs.allocs,

@@ -204,19 +204,31 @@ func mustIntern(name string) *nameInfo {
 
 // hashName is FNV-1a; names reaching it are already lowercase.
 func hashName(s string) int {
-	h := uint32(2166136261)
+	h := fnvOffset
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
+		h = (h ^ uint32(s[i])) * fnvPrime
 	}
 	return int(h)
 }
 
+// FNV-1a parameters shared by hashName, lookupInfo and internName's fused
+// fold-and-hash loop.
+const (
+	fnvOffset uint32 = 2166136261
+	fnvPrime  uint32 = 16777619
+)
+
 // lookupInfo probes the table for an already-folded name.
 func lookupInfo(folded []byte) *nameInfo {
-	h := uint32(2166136261)
+	h := fnvOffset
 	for _, c := range folded {
-		h = (h ^ uint32(c)) * 16777619
+		h = (h ^ uint32(c)) * fnvPrime
 	}
+	return probeInfo(folded, h)
+}
+
+// probeInfo probes the table for a folded name whose FNV-1a hash is h.
+func probeInfo(folded []byte, h uint32) *nameInfo {
 	slot := int(h) & (len(internTab) - 1)
 	for {
 		e := internTab[slot]
@@ -238,7 +250,9 @@ func lookupInfo(folded []byte) *nameInfo {
 // byte.
 func internName(raw []byte, text *slab.Bytes) (string, *nameInfo) {
 	if len(raw) <= internMaxLen {
+		// Fold and hash in one pass.
 		var buf [internMaxLen]byte
+		h := fnvOffset
 		for i, c := range raw {
 			if c >= 0x80 {
 				return internSlow(raw)
@@ -247,9 +261,10 @@ func internName(raw []byte, text *slab.Bytes) (string, *nameInfo) {
 				c += 'a' - 'A'
 			}
 			buf[i] = c
+			h = (h ^ uint32(c)) * fnvPrime
 		}
 		folded := buf[:len(raw)]
-		if e := lookupInfo(folded); e != nil {
+		if e := probeInfo(folded, h); e != nil {
 			return e.name, e
 		}
 		return text.Copy(folded), nil

@@ -48,45 +48,61 @@ type lexer struct {
 	text *slab.Bytes
 	// arena additionally backs attribute slices when non-nil.
 	arena *Arena
+	// tok is the token every scan fills in place and next returns.
+	tok lexToken
 }
 
 func newLexer(src []byte, a *Arena) *lexer {
 	return &lexer{src: src, text: a.textBytes(), arena: a}
 }
 
-// next returns the next token.
-func (l *lexer) next() lexToken {
+// next scans the next token and returns it. The token is the lexer's own,
+// filled in place, and is overwritten by the following call: callers copy
+// what they keep (ParseBytes moves its fields into the Node), so no token
+// is copied out through the scan's frames.
+func (l *lexer) next() *lexToken {
+	t := &l.tok
 	if l.pos >= len(l.src) {
-		return lexToken{kind: tokEOF}
+		*t = lexToken{kind: tokEOF}
+		return t
 	}
 	if l.rawTag != "" {
-		return l.lexRawText()
+		if l.lexRawText() {
+			return t
+		}
+		// Nothing between the tags; continue with the end tag itself.
+		return l.next()
 	}
 	if l.src[l.pos] == '<' {
-		if tok, ok := l.lexMarkup(); ok {
-			return tok
+		if l.lexMarkup() {
+			return t
 		}
 		// A lone '<' that does not begin markup: emit it as text.
 		l.pos++
-		return lexToken{kind: tokText, data: "<"}
+		*t = lexToken{kind: tokText, data: "<"}
+		return t
 	}
-	return l.lexText()
+	l.lexText()
+	return t
 }
 
-func (l *lexer) lexText() lexToken {
+func (l *lexer) lexText() {
 	start := l.pos
-	for l.pos < len(l.src) && l.src[l.pos] != '<' {
-		l.pos++
+	if end := bytes.IndexByte(l.src[start:], '<'); end >= 0 {
+		l.pos = start + end
+	} else {
+		l.pos = len(l.src)
 	}
-	return lexToken{kind: tokText, data: decodeEntitiesArena(l.src[start:l.pos], l.text)}
+	l.tok = lexToken{kind: tokText, data: decodeEntitiesArena(l.src[start:l.pos], l.text)}
 }
 
 // lexRawText consumes content up to the closing tag of the current raw-text
-// element. The closing-tag search folds ASCII case in place instead of
+// element and reports whether there was any; empty content yields no
+// token. The closing-tag search folds ASCII case in place instead of
 // lowering a copy of the whole remainder as the string lexer did; the two
 // agree except on pathological non-ASCII input whose Unicode lower-casing
 // changes byte offsets.
-func (l *lexer) lexRawText() lexToken {
+func (l *lexer) lexRawText() bool {
 	idx := indexCloseTag(l.src[l.pos:], l.rawTag)
 	var content []byte
 	if idx < 0 {
@@ -98,49 +114,60 @@ func (l *lexer) lexRawText() lexToken {
 	}
 	l.rawTag = ""
 	if len(content) == 0 {
-		// Nothing between the tags; continue with the end tag itself.
-		return l.next()
+		return false
 	}
-	return lexToken{kind: tokText, data: bstr(content)}
+	l.tok = lexToken{kind: tokText, data: bstr(content)}
+	return true
 }
 
 // indexCloseTag finds the first "</tag" in src, ignoring ASCII case; tag is
 // already lowercase.
 func indexCloseTag(src []byte, tag string) int {
 	n := len(tag)
-	for i := 0; i+2+n <= len(src); i++ {
-		if src[i] != '<' || src[i+1] != '/' {
-			continue
+	for i := 0; ; i++ {
+		k := bytes.IndexByte(src[i:], '<')
+		if k < 0 {
+			return -1
 		}
-		match := true
-		for j := 0; j < n; j++ {
-			c := src[i+2+j]
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != tag[j] {
-				match = false
-				break
-			}
+		i += k
+		if i+2+n > len(src) {
+			return -1
 		}
-		if match {
+		if src[i+1] == '/' && equalFoldLower(src[i+2:i+2+n], tag) {
 			return i
 		}
 	}
-	return -1
 }
 
-// lexMarkup attempts to scan a tag, comment or doctype starting at '<'.
-func (l *lexer) lexMarkup() (lexToken, bool) {
+// equalFoldLower reports whether b equals the lowercase ASCII string s
+// once b's ASCII upper case is folded.
+func equalFoldLower(b []byte, s string) bool {
+	for j := 0; j < len(s); j++ {
+		c := b[j]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != s[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// lexMarkup attempts to scan a tag, comment or doctype starting at '<'
+// into the lexer's token; false means the '<' does not begin markup.
+func (l *lexer) lexMarkup() bool {
 	src, p := l.src, l.pos
 	if p+1 >= len(src) {
-		return lexToken{}, false
+		return false
 	}
 	switch {
 	case bytes.HasPrefix(src[p:], commentOpen):
-		return l.lexComment(), true
+		l.lexComment()
+		return true
 	case src[p+1] == '!' || src[p+1] == '?':
-		return l.lexDeclaration(), true
+		l.lexDeclaration()
+		return true
 	case src[p+1] == '/':
 		return l.lexEndTag()
 	default:
@@ -153,7 +180,7 @@ var (
 	commentClose = []byte("-->")
 )
 
-func (l *lexer) lexComment() lexToken {
+func (l *lexer) lexComment() {
 	l.pos += 4 // consume "<!--"
 	end := bytes.Index(l.src[l.pos:], commentClose)
 	var body []byte
@@ -164,89 +191,92 @@ func (l *lexer) lexComment() lexToken {
 		body = l.src[l.pos : l.pos+end]
 		l.pos += end + 3
 	}
-	return lexToken{kind: tokComment, data: bstr(body)}
+	l.tok = lexToken{kind: tokComment, data: bstr(body)}
 }
 
-func (l *lexer) lexDeclaration() lexToken {
+func (l *lexer) lexDeclaration() {
 	// <!DOCTYPE ...> or <?xml ...?> — consume to '>'.
-	end := bytes.IndexByte(l.src[l.pos:], '>')
-	if end < 0 {
-		l.pos = len(l.src)
-	} else {
-		l.pos += end + 1
-	}
-	return lexToken{kind: tokDoctype}
+	l.pos = skipPastGT(l.src, l.pos)
+	l.tok = lexToken{kind: tokDoctype}
 }
 
-func (l *lexer) lexEndTag() (lexToken, bool) {
+// skipPastGT returns the position just past the first '>' at or after p,
+// or len(src) when there is none.
+func skipPastGT(src []byte, p int) int {
+	if end := bytes.IndexByte(src[p:], '>'); end >= 0 {
+		return p + end + 1
+	}
+	return len(src)
+}
+
+func (l *lexer) lexEndTag() bool {
 	p := l.pos + 2
 	start := p
 	for p < len(l.src) && isTagNameByte(l.src[p]) {
 		p++
 	}
 	if p == start {
-		return lexToken{}, false
+		return false
 	}
 	name, info := internName(l.src[start:p], l.text)
 	// Skip to '>' discarding any junk.
-	for p < len(l.src) && l.src[p] != '>' {
-		p++
-	}
-	if p < len(l.src) {
-		p++
-	}
-	l.pos = p
-	return lexToken{kind: tokEndTag, data: name, info: info}, true
+	l.pos = skipPastGT(l.src, p)
+	l.tok = lexToken{kind: tokEndTag, data: name, info: info}
+	return true
 }
 
-func (l *lexer) lexStartTag() (lexToken, bool) {
+func (l *lexer) lexStartTag() bool {
+	src := l.src
 	p := l.pos + 1
 	start := p
-	for p < len(l.src) && isTagNameByte(l.src[p]) {
+	for p < len(src) && isTagNameByte(src[p]) {
 		p++
 	}
 	if p == start {
-		return lexToken{}, false
+		return false
 	}
-	tok := lexToken{kind: tokStartTag}
-	tok.data, tok.info = internName(l.src[start:p], l.text)
+	t := &l.tok
+	*t = lexToken{kind: tokStartTag}
+	t.data, t.info = internName(src[start:p], l.text)
 	for {
-		p = skipSpace(l.src, p)
-		if p >= len(l.src) {
+		p = skipSpace(src, p)
+		if p >= len(src) {
 			break
 		}
-		if l.src[p] == '>' {
+		if src[p] == '>' {
 			p++
 			break
 		}
-		if l.src[p] == '/' {
+		if src[p] == '/' {
 			p++
-			if p < len(l.src) && l.src[p] == '>' {
-				tok.selfClosing = true
+			if p < len(src) && src[p] == '>' {
+				t.selfClosing = true
 				p++
 				break
 			}
 			continue
 		}
 		var attr Attr
-		attr, p = lexAttr(l.src, p, l.text)
+		attr, p = lexAttr(src, p, l.text)
 		if attr.Name == "" {
 			p++ // junk byte; skip to avoid an infinite loop
 			continue
 		}
-		tok.attrs = l.arena.appendAttr(tok.attrs, attr)
+		t.attrs = l.arena.appendAttr(t.attrs, attr)
 	}
 	l.pos = p
-	if !tok.selfClosing {
-		raw := isRawTextTag(tok.data)
-		if tok.info != nil {
-			raw = tok.info.flags&infoRawText != 0
+	if !t.selfClosing {
+		var raw bool
+		if t.info != nil {
+			raw = t.info.flags&infoRawText != 0
+		} else {
+			raw = isRawTextTag(t.data)
 		}
 		if raw {
-			l.rawTag = tok.data
+			l.rawTag = t.data
 		}
 	}
-	return tok, true
+	return true
 }
 
 // lexAttr scans one attribute at position p and returns it with the new
@@ -273,14 +303,14 @@ func lexAttr(src []byte, p int, text *slab.Bytes) (Attr, int) {
 	case '"', '\'':
 		quote := src[p]
 		p++
-		vstart := p
-		for p < len(src) && src[p] != quote {
-			p++
+		end := bytes.IndexByte(src[p:], quote)
+		if end < 0 {
+			// Unterminated: the value runs to the end of the input.
+			attr.Value = decodeEntitiesArena(src[p:], text)
+			return attr, len(src)
 		}
-		attr.Value = decodeEntitiesArena(src[vstart:p], text)
-		if p < len(src) {
-			p++ // closing quote
-		}
+		attr.Value = decodeEntitiesArena(src[p:p+end], text)
+		p += end + 1 // past the closing quote
 	default:
 		vstart := p
 		for p < len(src) && !isSpaceByte(src[p]) && src[p] != '>' {

@@ -13,7 +13,7 @@ func collect(src string) []lexToken {
 		if t.kind == tokEOF {
 			return toks
 		}
-		toks = append(toks, t)
+		toks = append(toks, *t)
 	}
 }
 

@@ -60,14 +60,28 @@ type Node struct {
 
 // Attr returns the value of the named attribute and whether it is present.
 // The lookup is case-insensitive because the lexer lower-cases names.
+// Callers almost always pass a lower-case literal, so the name is lowered
+// only when it holds an upper-case or non-ASCII byte.
 func (n *Node) Attr(name string) (string, bool) {
-	name = strings.ToLower(name)
+	if needsLower(name) {
+		name = strings.ToLower(name)
+	}
 	for _, a := range n.Attrs {
 		if a.Name == name {
 			return a.Value, true
 		}
 	}
 	return "", false
+}
+
+// needsLower reports whether strings.ToLower could change s.
+func needsLower(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || c >= 'A' && c <= 'Z' {
+			return true
+		}
+	}
+	return false
 }
 
 // AttrOr returns the named attribute's value, or def when absent.

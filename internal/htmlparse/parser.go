@@ -186,11 +186,14 @@ func ParseBytes(ctx context.Context, src []byte, lim Limits, a *Arena) (*Node, T
 			el := a.newNode()
 			el.Type, el.Tag, el.Attrs = ElementNode, tok.data, tok.attrs
 			a.appendChild(stack[len(stack)-1].n, el)
-			void := voidElements[tok.data]
+			// Interned names carry the void flag and frame bits; only a
+			// name outside the vocabulary consults the map.
+			var void bool
 			var bits uint16
-			if tok.info != nil {
-				void = tok.info.flags&infoVoid != 0
-				bits = tok.info.frame
+			if info := tok.info; info != nil {
+				void, bits = info.flags&infoVoid != 0, info.frame
+			} else {
+				void = voidElements[tok.data]
 			}
 			if !void && !tok.selfClosing {
 				// The document root occupies one stack slot, so the

@@ -245,3 +245,30 @@ func TestParsePlainTextPreserved(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAttrCaseInsensitive pins the lookup contract behind Attr's
+// lower-case fast path: mixed- and upper-case names still find the
+// lexer's lower-cased attributes, lower-case names take the fast path, and
+// a non-ASCII name is still lowered.
+func TestAttrCaseInsensitive(t *testing.T) {
+	doc := Parse(`<td NAME="q" Align=CENTER data-İd="x">`)
+	td := doc.FindTag("td")
+	if td == nil {
+		t.Fatal("no td parsed")
+	}
+	if v, ok := td.Attr("NAME"); !ok || v != "q" {
+		t.Errorf(`Attr("NAME") = %q, %v; want "q", true`, v, ok)
+	}
+	if v, ok := td.Attr("name"); !ok || v != "q" {
+		t.Errorf(`Attr("name") = %q, %v; want "q", true`, v, ok)
+	}
+	if v := td.AttrOr("Align", "left"); v != "CENTER" {
+		t.Errorf(`AttrOr("Align", "left") = %q, want "CENTER"`, v)
+	}
+	if v := td.AttrOr("valign", "top"); v != "top" {
+		t.Errorf(`AttrOr("valign", "top") = %q, want the default`, v)
+	}
+	if !td.HasAttr("DATA-İD") {
+		t.Errorf(`HasAttr("DATA-İD") = false; the non-ASCII name must still be lowered`)
+	}
+}

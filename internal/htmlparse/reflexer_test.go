@@ -389,12 +389,46 @@ func TestLexerDifferential(t *testing.T) {
 	for _, src := range seeds {
 		diffLexers(t, src)
 	}
+	for _, src := range lexerEdgeCases {
+		diffLexers(t, src)
+	}
+	// Crawl-shaped pages: long raw-text heads, comments and wrapper markup.
+	for _, page := range paddedPages(4) {
+		diffLexers(t, string(page))
+	}
+}
+
+// lexerEdgeCases are the boundaries of the lexer's IndexByte scans: input
+// ending at a '<', at a partial close tag inside raw text, inside raw text
+// with no close tag, or inside a quoted attribute value.
+var lexerEdgeCases = []string{
+	"<",
+	"text<",
+	"<p>a<",
+	"<script>x</",
+	"<script>x</scr",
+	"<script>x</SCRIPT",
+	"<style>a<b</STYLE",
+	"<script>var a = 1; if (a<2) {}",
+	"<title>no close",
+	"<textarea>",
+	"<script></script>",
+	"<script></script>after",
+	"<TEXTAREA></textarea><p>",
+	"<textarea>x</textareax>y",
+	`<input value="abc`,
+	`<a href='x`,
+	`<p a="`,
+	`<p a='v' b="`,
 }
 
 func FuzzLexerDifferential(f *testing.F) {
 	f.Add(dataset.Figure5Fragment)
 	f.Add("<script>x</scrIPT><p a=1 b='2' c=\"3\">&amp;&#65;")
 	f.Add("<td><!-- c --><input checked>")
+	for _, src := range lexerEdgeCases {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			return

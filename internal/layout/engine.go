@@ -137,28 +137,6 @@ type flow struct {
 	out     []*Box  // finished boxes of this context
 }
 
-// skipTags are elements that contribute nothing to visual layout.
-var skipTags = map[string]bool{
-	"head": true, "script": true, "style": true, "title": true,
-	"meta": true, "link": true, "base": true, "noscript": true,
-	"map": true, "iframe": true, "object": true, "applet": true,
-}
-
-// blockTags are block-level containers laid out by vertical stacking.
-var blockTags = map[string]bool{
-	"div": true, "p": true, "form": true, "center": true, "fieldset": true,
-	"legend": true, "h1": true, "h2": true, "h3": true, "h4": true,
-	"h5": true, "h6": true, "ul": true, "ol": true, "li": true, "dl": true,
-	"dt": true, "dd": true, "blockquote": true, "pre": true,
-	"address": true, "caption": true, "tr": true, "td": true, "th": true,
-	"thead": true, "tbody": true, "tfoot": true,
-}
-
-// widgetTags are leaf elements with intrinsic sizes.
-var widgetTags = map[string]bool{
-	"input": true, "select": true, "textarea": true, "button": true, "img": true,
-}
-
 func (f *flow) node(n *htmlparse.Node) {
 	if f.r.step() {
 		return
@@ -171,24 +149,34 @@ func (f *flow) node(n *htmlparse.Node) {
 	}
 }
 
+// element lays out one element according to its tag's class, resolved by
+// a single switch: skipped, line break, rule, widget, table, block, or
+// inline container.
 func (f *flow) element(n *htmlparse.Node) {
-	switch {
-	case skipTags[n.Tag]:
-	case n.Tag == "br":
+	switch n.Tag {
+	case "head", "script", "style", "title", "meta", "link", "base", "noscript",
+		"map", "iframe", "object", "applet":
+		// Contributes nothing to visual layout.
+	case "br":
 		f.lineBreak()
-	case n.Tag == "hr":
+	case "hr":
 		f.rule(n)
-	case widgetTags[n.Tag]:
+	case "input", "select", "textarea", "button", "img":
+		// Leaf with an intrinsic size.
 		w, h, ok := f.e.M.WidgetSize(n)
 		if ok {
 			b := f.arena().newBox()
 			b.Kind, b.Node = WidgetBox, n
 			f.placeInline(b, w, h)
 		}
-	case n.Tag == "table":
+	case "table":
 		f.flushLine()
 		f.table(n)
-	case blockTags[n.Tag]:
+	case "div", "p", "form", "center", "fieldset", "legend",
+		"h1", "h2", "h3", "h4", "h5", "h6", "ul", "ol", "li", "dl", "dt", "dd",
+		"blockquote", "pre", "address", "caption",
+		"tr", "td", "th", "thead", "tbody", "tfoot":
+		// Block-level container, laid out by vertical stacking.
 		f.flushLine()
 		f.block(n)
 	default:
@@ -456,6 +444,9 @@ func (f *flow) block(n *htmlparse.Node) {
 func alignOf(n *htmlparse.Node, inherited string) string {
 	if n.Tag == "center" {
 		return "center"
+	}
+	if len(n.Attrs) == 0 {
+		return inherited
 	}
 	switch strings.ToLower(n.AttrOr("align", "")) {
 	case "center", "middle":

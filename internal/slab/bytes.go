@@ -144,7 +144,7 @@ func (b *Bytes) Reset() {
 	for _, blk := range b.full {
 		b.free = append(b.free, blk[:0])
 	}
-	b.cur, b.full = nil, nil
+	b.cur, b.full = nil, b.full[:0]
 	b.runStart = 0
 }
 

@@ -110,30 +110,25 @@ func (s *Slab[T]) grow(n int) {
 	s.cur = make([]T, 0, size)
 }
 
-// Reset forgets every object and keeps the backing blocks for reuse. The
-// blocks are zeroed first so stale pointers inside recycled objects do not
-// pin freed object graphs (the same discipline as the core engine's
-// forgetInstances). Only call Reset when nothing carved from the slab is
-// retained.
+// Reset forgets every object and keeps the backing blocks for reuse, and
+// the block lists keep their capacity, so a warm slab refills without
+// allocating. The blocks are zeroed first so stale pointers inside
+// recycled objects do not pin freed object graphs (the same discipline as
+// the core engine's forgetInstances). Only call Reset when nothing carved
+// from the slab is retained.
 func (s *Slab[T]) Reset() {
 	if s == nil {
 		return
 	}
-	var zero T
-	clearBlock := func(b []T) {
-		for i := range b {
-			b[i] = zero
-		}
-	}
 	if cap(s.cur) > 0 {
-		clearBlock(s.cur)
+		clear(s.cur)
 		s.free = append(s.free, s.cur[:0])
 	}
 	for _, b := range s.full {
-		clearBlock(b)
+		clear(b)
 		s.free = append(s.free, b[:0])
 	}
-	s.cur, s.full = nil, nil
+	s.cur, s.full = nil, s.full[:0]
 }
 
 // Drop releases ownership of every block: carved objects stay valid for

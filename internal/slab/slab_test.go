@@ -212,3 +212,30 @@ func TestBytesCopyAndReset(t *testing.T) {
 		t.Fatalf("nil Drop broken")
 	}
 }
+
+// TestResetRefillAllocatesNothing: once a slab has seen a run's peak, a
+// Reset and refill to that peak reuses every block and the block lists'
+// capacity — the steady state of the pooled front-end arenas.
+func TestResetRefillAllocatesNothing(t *testing.T) {
+	var s Slab[*int]
+	var b Bytes
+	x := 1
+	fill := func() {
+		for i := 0; i < 5*blockSize; i++ {
+			*s.New() = &x
+		}
+		for i := 0; i < 5; i++ {
+			b.BeginRun()
+			for j := 0; j < byteBlockSize-1; j++ {
+				b.AppendByte('x')
+			}
+			_ = b.EndRun()
+		}
+		s.Reset()
+		b.Reset()
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Errorf("warm Reset/refill allocated %v times per run, want 0", n)
+	}
+}

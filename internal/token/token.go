@@ -223,18 +223,17 @@ func enclosingAnchor(n *htmlparse.Node) *htmlparse.Node {
 	return nil
 }
 
-// blockBoundaryTags are the elements that delimit a text label: two runs in
-// different cells or blocks never merge.
-var blockBoundaryTags = map[string]bool{
-	"td": true, "th": true, "tr": true, "table": true, "div": true,
-	"p": true, "li": true, "form": true, "body": true, "fieldset": true,
-	"h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "h6": true,
-}
-
-// containingBlock returns the nearest block-level ancestor of a text node.
+// containingBlock returns the nearest block-level ancestor of a text node:
+// the elements that delimit a text label, so two runs in different cells
+// or blocks never merge.
 func containingBlock(n *htmlparse.Node) *htmlparse.Node {
 	for p := n; p != nil; p = p.Parent {
-		if p.Type == htmlparse.ElementNode && blockBoundaryTags[p.Tag] {
+		if p.Type != htmlparse.ElementNode {
+			continue
+		}
+		switch p.Tag {
+		case "td", "th", "tr", "table", "div", "p", "li", "form", "body", "fieldset",
+			"h1", "h2", "h3", "h4", "h5", "h6":
 			return p
 		}
 	}
