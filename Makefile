@@ -40,13 +40,16 @@ hostile:
 	go test -race -timeout 120s -count=1 . ./internal/htmlparse/ ./internal/layout/ ./cmd/formserve/
 
 # Fuzz smoke: ten seconds each of the lexer differential (the zero-copy
-# lexer against the reference lexer kept in its tests), the tree builder
-# and name interning, on top of their seed corpora. New crashers land in
-# internal/htmlparse/testdata/fuzz and fail the target.
+# lexer against the reference lexer kept in its tests), the tree builder,
+# name interning, and the parser's join-window differential (windowed joins
+# against the full scan over boundary layouts), on top of their seed
+# corpora. New crashers land in the package's testdata/fuzz and fail the
+# target.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLexerDifferential$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzInternName$$' -fuzztime 10s ./internal/htmlparse/
+	go test -run '^$$' -fuzz '^FuzzJoinWindow$$' -fuzztime 10s ./internal/core/
 
 # Run every Go benchmark in the module. The end-to-end serving and tracing
 # figures are BENCHMARK.json's traced run (obs.overhead_us, obs.allocs,

@@ -131,13 +131,14 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 
 // Freeze makes the result safe for any number of concurrent readers and
 // returns it. It pre-materializes every lazily memoized text cache in the
-// parse-tree graph (the only mutable state a completed Result retains),
-// severs the parser's rollback edges (Instance.Parents — only the parse
-// itself needs them, and they lead into the dead-instance majority no
-// reader should traverse), and records the result's approximate byte
-// footprint for cache accounting. The result owns every string it exposes
-// (tokens copy theirs into the token arena, the envelope clones its own),
-// so a frozen result pins neither the page bytes nor a DOM.
+// parse-tree graph (the only lazy state a reader can touch; the parser's
+// text-shape memo is parse-time state no reader evaluates, so it is left
+// as the parse left it) and records the result's approximate byte
+// footprint for cache accounting. The parser's rollback edges never reach
+// the result: they live in the engine's own parent graph. The result owns
+// every string it exposes (tokens copy theirs into the token arena, the
+// envelope clones its own), so a frozen result pins neither the page bytes
+// nor a DOM.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every

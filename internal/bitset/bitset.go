@@ -230,15 +230,20 @@ func (s Set) Equal(t Set) bool {
 
 // Members returns the members in ascending order.
 func (s Set) Members() []int {
-	m := make([]int, 0, s.Count())
+	return s.AppendMembers(make([]int, 0, s.Count()))
+}
+
+// AppendMembers appends the members to dst in ascending order, so a caller
+// with a reused buffer lists them without allocating.
+func (s Set) AppendMembers(dst []int) []int {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			m = append(m, wi*wordBits+b)
+			dst = append(dst, wi*wordBits+b)
 			w &= w - 1
 		}
 	}
-	return m
+	return dst
 }
 
 // Key returns a compact string usable as a map key for deduplicating

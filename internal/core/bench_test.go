@@ -129,3 +129,62 @@ func BenchmarkBruteForce(b *testing.B) {
 		b.ReportMetric(float64(res.Stats.TotalCreated), "instances")
 	}
 }
+
+// coldShapeCorpus tokenizes generated pages shaped like the cold-extract
+// benchmark's requests: every catalogue schema, 4-9 conditions, hardness
+// 0.4. Pages whose parse would exceed 20,000 instances are dropped, as the
+// benchmark drops them, so one pathological page cannot decide the figure.
+// Unlike benchCorpus, these pages stack many condition rows, so the
+// recursive QI production dominates the join.
+func coldShapeCorpus(tb testing.TB) [][]*token.Token {
+	tb.Helper()
+	ex, err := formext.New()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	screen, err := core.NewParser(grammar.Default(), core.Options{MaxInstances: 20000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srcs := dataset.Generate(dataset.Config{
+		Seed:          7,
+		Sources:       40,
+		Schemas:       dataset.AllSchemas,
+		MinConds:      4,
+		MaxConds:      9,
+		Hardness:      0.4,
+		SampleSchemas: true,
+	})
+	var corpus [][]*token.Token
+	for _, s := range srcs {
+		toks := ex.Tokenize(s.HTML)
+		res, err := screen.Parse(toks)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !res.Stats.Truncated {
+			corpus = append(corpus, toks)
+		}
+	}
+	if len(corpus) == 0 {
+		tb.Fatal("every cold-shape page was screened out")
+	}
+	return corpus
+}
+
+// BenchmarkParseColdShape parses the cold-shape corpus with the production
+// configuration; one op is one page.
+func BenchmarkParseColdShape(b *testing.B) {
+	corpus := coldShapeCorpus(b)
+	p, err := core.NewParser(grammar.Default(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Parse(corpus[i%len(corpus)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -86,17 +86,7 @@ func TestEnforceSteadyStateNoAlloc(t *testing.T) {
 	defer p.release(e)
 	e.begin(context.Background(), p.pl, p.opt, len(toks))
 	for _, tk := range toks {
-		in := e.newInstance()
-		in.ID = e.nextID
-		e.nextID++
-		in.Sym = string(tk.Type)
-		in.Token = tk
-		in.Pos = tk.Pos
-		cover := e.arena.New()
-		cover.Add(tk.ID)
-		in.Cover = cover
-		e.track(in)
-		e.stats.Terminals++
+		e.terminal(tk)
 	}
 	e.stats.Tokens = len(toks)
 	e.fixpoint(nil, p.pl.globalProds, p.pl.globalSyms)

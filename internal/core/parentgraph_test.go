@@ -37,16 +37,7 @@ func TestParentEdgesUnique(t *testing.T) {
 			e := p.engine()
 			e.begin(context.Background(), p.pl, p.opt, len(toks))
 			for _, tk := range toks {
-				in := e.newInstance()
-				in.ID = e.nextID
-				e.nextID++
-				in.Sym = string(tk.Type)
-				in.Token = tk
-				in.Pos = tk.Pos
-				cover := e.arena.New()
-				cover.Add(tk.ID)
-				in.Cover = cover
-				e.track(in)
+				e.terminal(tk)
 			}
 			e.fixpoint(nil, p.pl.globalProds, p.pl.globalSyms)
 

@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,8 +66,10 @@ type Stats struct {
 	// tier by tier as the join binds each slot (predicate pushdown), and
 	// count one per non-empty tier reached — so one event may cover a
 	// prefix shared by many assignments, and rejected prefixes never
-	// produce deeper events. Both evaluation modes share the join code and
-	// count identically.
+	// produce deeper events. Only candidates the join visits count: a slot
+	// with a join window (window.go) never visits, and so never evaluates,
+	// the candidates outside it. Both evaluation modes share the join code
+	// and count identically.
 	ConstraintEvals int
 	FixpointIters   int           // fix-point rounds summed over all groups
 	Groups          int           // schedule groups executed (1 when scheduling is off)
@@ -186,19 +189,8 @@ func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.
 	}()
 	e.begin(ctx, p.pl, p.opt, len(toks))
 
-	// Terminal instances.
 	for _, t := range toks {
-		in := e.newInstance()
-		in.ID = e.nextID
-		e.nextID++
-		in.Sym = string(t.Type)
-		in.Token = t
-		in.Pos = t.Pos
-		cover := e.arena.New()
-		cover.Add(t.ID)
-		in.Cover = cover
-		e.track(in)
-		e.stats.Terminals++
+		e.terminal(t)
 	}
 	e.stats.Tokens = len(toks)
 
@@ -386,6 +378,14 @@ type engine struct {
 	candAliased []bool
 	deadBySym   []int32
 
+	// Join windows (window.go): winIdx[sid*numWinKeys+key] is symbol sid's
+	// candidate list sorted by one coordinate, valid for the fix point
+	// numbered winEpoch; winHits[slot] is the per-slot bitmap of window
+	// hits, one per join depth because slots recurse.
+	winIdx   []winIndex
+	winEpoch uint64
+	winHits  [][]uint64
+
 	// Join scratch, sized to the grammar's maximum production arity.
 	// joinCover[s] (s >= 2) holds the cover union of the first s chosen
 	// components, so deep slots test token-disjointness against one bitset
@@ -415,6 +415,10 @@ type engine struct {
 	parHead  []int32
 	parEdges []parEdge
 
+	// sizes[id] is instance id's subtree node count, recorded at creation
+	// (1 + the children's sizes) so maximize never walks a subtree.
+	sizes []int32
+
 	// Enforcement scratch: the memoized winner-subtree spare set and the
 	// winner cover-union prefilter.
 	spare      bitset.Set
@@ -422,8 +426,10 @@ type engine struct {
 	coverUnion bitset.Set
 
 	// Maximization scratch.
-	maxCands []*grammar.Instance
-	maxKeys  []maxKey // ID-indexed sort keys scratch for maximize
+	maxCands   []*grammar.Instance
+	maxKeys    []maxKey  // ID-indexed sort keys scratch for maximize
+	maxPost    [][]int32 // per-token posting lists of the kept trees
+	maxMembers []int     // one candidate's cover members
 
 	// Freeze-compaction scratch: reach marks the IDs reachable from alive
 	// instances; remap[id] is the Result-owned copy of reachable instance
@@ -547,6 +553,7 @@ func (e *engine) begin(ctx context.Context, pl *plan, opt Options, universe int)
 		e.candActive = make([]bool, ns)
 		e.candAliased = make([]bool, ns)
 		e.deadBySym = make([]int32, ns)
+		e.winIdx = make([]winIndex, ns*int(numWinKeys))
 	}
 	e.joinCands = e.joinCands[:ns]
 	e.candBuf = e.candBuf[:ns]
@@ -561,6 +568,7 @@ func (e *engine) begin(ctx context.Context, pl *plan, opt Options, universe int)
 		e.joinLists = make([][]*grammar.Instance, pl.maxArity)
 		e.joinOld = make([]int, pl.maxArity)
 		e.joinCover = make([]bitset.Set, pl.maxArity)
+		e.winHits = make([][]uint64, pl.maxArity)
 	}
 	for i := range e.joinCover {
 		e.joinCover[i].Reset(universe)
@@ -578,6 +586,7 @@ func (e *engine) begin(ctx context.Context, pl *plan, opt Options, universe int)
 	e.prefMemo.begin()
 	e.parHead = e.parHead[:0]
 	e.parEdges = e.parEdges[:0]
+	e.sizes = e.sizes[:0]
 	e.dedup.reset()
 	e.nextID = 0
 	e.stats = Stats{}
@@ -652,13 +661,33 @@ func (e *engine) addParent(child int, parent int32) {
 	e.parHead[child] = int32(len(e.parEdges) - 1)
 }
 
-// track registers a freshly built instance in the engine's indexes. Symbols
-// outside the grammar (token types no production mentions) skip the bySym
-// table — nothing can join over them — but still appear in e.all and hence
-// in Result.Alive. Instances are tracked in ID order, so the parent-graph
-// head array grows in lockstep (parHead[in.ID] is this append).
-func (e *engine) track(in *grammar.Instance) {
-	if sid, ok := e.pl.symID[in.Sym]; ok {
+// terminal builds and tracks the terminal instance of one token.
+func (e *engine) terminal(t *token.Token) {
+	in := e.newInstance()
+	in.ID = e.nextID
+	e.nextID++
+	in.Sym = string(t.Type)
+	in.Token = t
+	in.Pos = t.Pos
+	cover := e.arena.New()
+	cover.Add(t.ID)
+	in.Cover = cover
+	sid, ok := e.pl.symID[in.Sym]
+	if !ok {
+		sid = -1
+	}
+	e.track(in, sid, 1)
+	e.stats.Terminals++
+}
+
+// track registers a freshly built instance of symbol sid with the given
+// subtree size in the engine's indexes. Symbols outside the grammar (token
+// types no production mentions, sid -1) skip the bySym table — nothing can
+// join over them — but still appear in e.all and hence in Result.Alive.
+// Instances are tracked in ID order, so the ID-indexed parent-graph heads
+// and sizes grow in lockstep (parHead[in.ID] is this append).
+func (e *engine) track(in *grammar.Instance, sid int, size int32) {
+	if sid >= 0 {
 		e.bySym[sid] = append(e.bySym[sid], in)
 		if e.candActive[sid] {
 			if e.candAliased[sid] {
@@ -669,6 +698,7 @@ func (e *engine) track(in *grammar.Instance) {
 		}
 	}
 	e.parHead = append(e.parHead, -1)
+	e.sizes = append(e.sizes, size)
 	e.all = append(e.all, in)
 	e.stats.TotalCreated++
 }
@@ -685,7 +715,9 @@ func (e *engine) fixpoint(sp *obs.Span, prods, syms []int) {
 	// between fix points, so liveness is frozen while this one runs and
 	// dead instances can be filtered out up front instead of per join
 	// visit. candActive routes instances created mid-fix-point into the
-	// compacted lists (track), and marks/snap index them, not bySym.
+	// compacted lists (track), and marks/snap index them, not bySym. A new
+	// epoch retires every join-window index built over the previous lists.
+	e.winEpoch++
 	for _, sid := range syms {
 		if e.deadBySym[sid] == 0 {
 			e.joinCands[sid] = e.bySym[sid]
@@ -793,6 +825,11 @@ func (e *engine) applyProd(pp *prodPlan) int {
 // returns how many instances the completed assignments added. It is a
 // method, not a closure, so the recursion costs no per-production
 // allocation.
+//
+// A slot with a join window (window.go) visits only the candidates whose
+// coordinate lies in the window its anchor slot's chosen instance opens,
+// in ascending list position; every other candidate would fail the
+// constraint's adjacency factor. A NaN bound or key scans the whole list.
 func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 	k := len(pp.compSyms)
 	if slot == k {
@@ -801,25 +838,46 @@ func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 		}
 		return e.emit(pp)
 	}
-	added := 0
-	for idx, cand := range e.joinLists[slot] {
-		// Prune early: if no new component has been chosen yet and no
-		// later slot can supply one, the whole branch is stale. (Candidate
-		// lists are alive-compacted per fix point, so no liveness check
-		// runs here.)
-		candNew := idx >= e.joinOld[slot]
-		if !hasNew && !candNew {
-			stale := true
-			for j := slot + 1; j < k; j++ {
-				if len(e.joinLists[j]) > e.joinOld[j] {
-					stale = false
-					break
-				}
-			}
-			if stale {
-				continue
+	list := e.joinLists[slot]
+	// Prune early: if no new component has been chosen yet and no later
+	// slot can supply one, only this slot's frontier can make the
+	// assignment new, so the scan starts there. (Candidate lists are
+	// alive-compacted per fix point, so no liveness check runs here.)
+	from := 0
+	if !hasNew {
+		from = e.joinOld[slot]
+		for j := slot + 1; j < k; j++ {
+			if len(e.joinLists[j]) > e.joinOld[j] {
+				from = 0
+				break
 			}
 		}
+	}
+	var hits []uint64
+	if pp.win != nil && pp.win[slot].on {
+		hits = e.windowHits(&pp.win[slot], pp.compSyms[slot], slot, from, list)
+	}
+	added := 0
+	next, wi, word := from, -1, uint64(0)
+	for {
+		var idx int
+		if hits != nil {
+			for word == 0 {
+				if wi++; wi >= len(hits) {
+					return added
+				}
+				word = hits[wi]
+			}
+			idx = wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+		} else {
+			if next >= len(list) {
+				return added
+			}
+			idx = next
+			next++
+		}
+		cand := list[idx]
 		// Components must not compete for tokens within one instance: slot 1
 		// tests pairwise, deeper slots against the running cover union of
 		// the chosen prefix (joinCover[s] = cover of children[0..s-1]).
@@ -852,12 +910,11 @@ func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 			}
 			u.UnionWith(cand.Cover)
 		}
-		added += e.joinSlot(pp, slot+1, hasNew || candNew)
+		added += e.joinSlot(pp, slot+1, hasNew || idx >= e.joinOld[slot])
 		if e.stats.Truncated || e.interrupted {
 			return added
 		}
 	}
-	return added
 }
 
 // emit evaluates the production constraint over the completed assignment
@@ -923,10 +980,12 @@ func (e *engine) emit(pp *prodPlan) int {
 	}
 	inst.Cover = cover
 	pid := int32(inst.ID)
+	size := int32(1)
 	for _, c := range inst.Children {
 		e.addParent(c.ID, pid)
+		size += e.sizes[c.ID]
 	}
-	e.track(inst)
+	e.track(inst, pp.headID, size)
 	if e.stats.TotalCreated >= e.opt.MaxInstances {
 		e.stats.Truncated = true
 	}
@@ -1275,48 +1334,78 @@ func (e *engine) maximize(startSym string) []*grammar.Instance {
 	}
 	// Precompute the sort keys the comparator would otherwise recompute per
 	// comparison: cover popcount and subtree size, ID-indexed (IDs index
-	// e.all, so candidate IDs are in range). Size is only consulted for
-	// equal-cover ties, but a tree walk inside a comparator is O(n·log n)
-	// walks in the worst case — one walk per candidate is strictly better.
+	// e.all, so candidate IDs are in range). Sizes were recorded at
+	// creation, so no subtree is walked here.
 	if cap(e.maxKeys) < len(e.all) {
 		e.maxKeys = make([]maxKey, len(e.all))
 	}
 	keys := e.maxKeys[:len(e.all)]
 	for _, in := range cands {
-		keys[in.ID] = maxKey{count: int32(in.Cover.Count()), size: int32(in.Size())}
+		keys[in.ID] = maxKey{count: int32(in.Cover.Count()), size: e.sizes[in.ID]}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	// The order is total (IDs break every tie), so the sort algorithm
+	// cannot change the result.
+	slices.SortFunc(cands, func(a, b *grammar.Instance) int {
 		ka, kb := keys[a.ID], keys[b.ID]
 		if ka.count != kb.count {
-			return ka.count > kb.count
+			return int(kb.count - ka.count)
 		}
 		if c := a.Cover.Compare(b.Cover); c != 0 {
-			return c < 0
+			return c
 		}
 		// Equal covers: the better representative first.
-		if (a.Sym == startSym) != (b.Sym == startSym) {
-			return a.Sym == startSym
+		if as, bs := a.Sym == startSym, b.Sym == startSym; as != bs {
+			if as {
+				return -1
+			}
+			return 1
 		}
 		if ka.size != kb.size {
-			return ka.size > kb.size
+			return int(kb.size - ka.size)
 		}
-		return a.ID < b.ID
+		return a.ID - b.ID
 	})
 	e.maxCands = cands // keep grown capacity for the next parse
+	// The sweep tests each candidate only against the kept trees that
+	// cover its rarest token: a tree lacking any member of c cannot
+	// properly subsume it, so the verdicts are those of a test against
+	// every kept tree. maxPost[t] lists, in keep order, the kept trees
+	// covering token t. (Nonterminal covers are never empty, so every
+	// candidate has a rarest token.) Without the posting lists the sweep
+	// is quadratic in the kept trees, which a truncated pathological
+	// parse can make tens of thousands.
+	post := e.maxPost
+	if cap(post) < e.stats.Tokens {
+		post = make([][]int32, e.stats.Tokens)
+	}
+	post = post[:e.stats.Tokens]
+	for t := range post {
+		post[t] = post[t][:0]
+	}
+	e.maxPost = post
 	var maximal []*grammar.Instance
 	for i, c := range cands {
 		if i > 0 && c.Cover.Equal(cands[i-1].Cover) {
 			continue // duplicate cover; the representative came first
 		}
+		e.maxMembers = c.Cover.AppendMembers(e.maxMembers[:0])
+		var rarest []int32
+		for j, t := range e.maxMembers {
+			if j == 0 || len(post[t]) < len(rarest) {
+				rarest = post[t]
+			}
+		}
 		subsumed := false
-		for _, m := range maximal {
-			if c.Cover.ProperSubsetOf(m.Cover) {
+		for _, mi := range rarest {
+			if c.Cover.ProperSubsetOf(maximal[mi].Cover) {
 				subsumed = true
 				break
 			}
 		}
 		if !subsumed {
+			for _, t := range e.maxMembers {
+				post[t] = append(post[t], int32(len(maximal)))
+			}
 			maximal = append(maximal, c)
 		}
 	}

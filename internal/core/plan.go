@@ -125,6 +125,7 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 			pp.compSyms[j] = pl.symID[c.Sym]
 		}
 		pp.constraint = cg.Prods[i].Constraint
+		pp.win = windowsOf(p)
 		pp.conj = cg.Prods[i].Conjuncts
 		if pp.conj != nil {
 			pp.counters = nConj
@@ -218,6 +219,10 @@ type prodPlan struct {
 	conj     []grammar.CompiledConjunct
 	order    atomic.Pointer[conjOrder]
 	counters int
+
+	// win holds each join slot's adjacency window (see window.go), nil
+	// when no top-level factor is an adjacency over two components.
+	win []slotWindow
 }
 
 // conjOrder is one production's conjunct evaluation schedule: ord lists the

@@ -534,7 +534,7 @@ func compileNum(e Expr, slot map[string]int) numFn {
 		return func(*Frame) (float64, bool) { return v, true }
 	case *CallExpr:
 		if fn, ok := instNum1[n.Name]; ok && len(n.Args) == 1 {
-			i, ok := varSlot(n.Args[0], slot)
+			i, ok := VarSlot(n.Args[0], slot)
 			if !ok {
 				return nil
 			}
@@ -547,8 +547,8 @@ func compileNum(e Expr, slot map[string]int) numFn {
 			}
 		}
 		if fn, ok := instNum2[n.Name]; ok && len(n.Args) == 2 {
-			i, iok := varSlot(n.Args[0], slot)
-			j, jok := varSlot(n.Args[1], slot)
+			i, iok := VarSlot(n.Args[0], slot)
+			j, jok := VarSlot(n.Args[1], slot)
 			if !iok || !jok {
 				return nil
 			}
@@ -572,7 +572,7 @@ func compileStr(e Expr, slot map[string]int) strFn {
 		return func(*Frame) (string, bool) { return v, true }
 	case *CallExpr:
 		if fn, ok := instStr1[n.Name]; ok && len(n.Args) == 1 {
-			i, ok := varSlot(n.Args[0], slot)
+			i, ok := VarSlot(n.Args[0], slot)
 			if !ok {
 				return nil
 			}
@@ -597,7 +597,7 @@ func compileCallBool(n *CallExpr, slot map[string]int) boolFn {
 		return fn
 	}
 	if fn, ok := instBool1[n.Name]; ok && len(n.Args) == 1 {
-		i, ok := varSlot(n.Args[0], slot)
+		i, ok := VarSlot(n.Args[0], slot)
 		if !ok {
 			return nil
 		}
@@ -610,8 +610,8 @@ func compileCallBool(n *CallExpr, slot map[string]int) boolFn {
 		}
 	}
 	if fn, ok := instBool2[n.Name]; ok && len(n.Args) == 2 {
-		i, iok := varSlot(n.Args[0], slot)
-		j, jok := varSlot(n.Args[1], slot)
+		i, iok := VarSlot(n.Args[0], slot)
+		j, jok := VarSlot(n.Args[1], slot)
 		if !iok || !jok {
 			return nil
 		}
@@ -624,8 +624,8 @@ func compileCallBool(n *CallExpr, slot map[string]int) boolFn {
 		}
 	}
 	if n.Name == "near" && len(n.Args) == 3 {
-		i, iok := varSlot(n.Args[0], slot)
-		j, jok := varSlot(n.Args[1], slot)
+		i, iok := VarSlot(n.Args[0], slot)
+		j, jok := VarSlot(n.Args[1], slot)
 		r, rok := n.Args[2].(*NumLit)
 		if !iok || !jok || !rok {
 			return nil
@@ -661,7 +661,7 @@ func compileTextMatchBool(n *CallExpr, slot map[string]int) boolFn {
 	if _, ok := n.Args[0].(*VarExpr); !ok {
 		return nil
 	}
-	i, ok := varSlot(n.Args[0], slot)
+	i, ok := VarSlot(n.Args[0], slot)
 	if !ok {
 		// An unbound variable always errors on the boxed path.
 		return func(*Frame) (bool, bool) { return false, false }
@@ -689,8 +689,9 @@ func compileTextMatchBool(n *CallExpr, slot map[string]int) boolFn {
 	}
 }
 
-// varSlot resolves e as a bound variable, returning its slot index.
-func varSlot(e Expr, slot map[string]int) (int, bool) {
+// VarSlot resolves e as a variable bound in the slot map, returning its
+// slot index.
+func VarSlot(e Expr, slot map[string]int) (int, bool) {
 	v, ok := e.(*VarExpr)
 	if !ok {
 		return 0, false
@@ -705,7 +706,7 @@ func varSlot(e Expr, slot map[string]int) (int, bool) {
 // A constraint with fewer than two factors yields nil — the parser then
 // evaluates the whole compiled expression as before.
 func compileConjuncts(e Expr, slot map[string]int) []CompiledConjunct {
-	factors := flattenAnd(e, nil)
+	factors := FlattenAnd(e, nil)
 	if len(factors) < 2 {
 		return nil
 	}
@@ -734,10 +735,10 @@ func maxSlotOf(e Expr, slot map[string]int) int {
 	return max
 }
 
-// flattenAnd appends the top-level ∧-factors of e to out, in syntax order.
-func flattenAnd(e Expr, out []Expr) []Expr {
+// FlattenAnd appends the top-level ∧-factors of e to out, in syntax order.
+func FlattenAnd(e Expr, out []Expr) []Expr {
 	if a, ok := e.(*AndExpr); ok {
-		return flattenAnd(a.R, flattenAnd(a.L, out))
+		return FlattenAnd(a.R, FlattenAnd(a.L, out))
 	}
 	if e == nil {
 		return out

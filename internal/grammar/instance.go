@@ -54,8 +54,12 @@ type Instance struct {
 	hasNorm bool
 	// shape caches the text-shape predicate bits (attrlike/oplike/caplike/
 	// endscolon), computed in one pass on first use. Zero means "not yet
-	// computed" — shapeValid is always set once it is. Same single-parse
-	// discipline as the text memos; FreezeMemos materializes it.
+	// computed" — shapeValid is always set once it is. Unlike the text
+	// memos it is parse-time state: only constraint builtins read it, and
+	// only the parser evaluates constraints, on its own instances before
+	// the result is compacted out. FreezeMemos therefore leaves it alone;
+	// a frozen instance must not be handed to a constraint evaluator
+	// concurrently.
 	shape uint8
 }
 
@@ -252,14 +256,16 @@ func (in *Instance) NormText() string {
 }
 
 // FreezeMemos prepares the subtree for concurrent readers: it
-// pre-materializes the lazily memoized text caches of every instance
-// reachable through Children (the only remaining lazy writes) and returns
-// the approximate byte footprint of the visited subtree. Parent links need
-// no severing — the engine keeps them in its own index-form graph, so a
-// frozen Result never held rollback edges to begin with. After FreezeMemos
-// any number of goroutines may read the subtree concurrently (Walk, Text,
-// NormText, Dump, Explain). The seen set deduplicates shared nodes across
-// calls; pass one set per result.
+// pre-materializes the lazily memoized text caches (Text, NormText) of
+// every instance reachable through Children — the only lazy writes a
+// reader can trigger — and returns the approximate byte footprint of the
+// visited subtree. The text-shape memo is parse-time state (see
+// Instance.shape) and is left alone. Parent links need no severing — the engine
+// keeps them in its own index-form graph, so a frozen Result never held
+// rollback edges to begin with. After FreezeMemos any number of goroutines
+// may read the subtree concurrently (Walk, Text, NormText, Dump, Explain).
+// The seen set deduplicates shared nodes across calls; pass one set per
+// result.
 func (in *Instance) FreezeMemos(seen map[*Instance]bool) int64 {
 	if seen[in] {
 		return 0
@@ -268,7 +274,6 @@ func (in *Instance) FreezeMemos(seen map[*Instance]bool) int64 {
 	// The struct, its slot in whatever index holds it, and the cover words.
 	cost := int64(unsafe.Sizeof(Instance{})) + int64(in.Cover.Len()/8+16)
 	cost += int64(len(in.Text()) + len(in.NormText()))
-	in.shapeBits()
 	cost += int64(8 * len(in.Children))
 	for _, c := range in.Children {
 		cost += c.FreezeMemos(seen)

@@ -121,7 +121,7 @@ func (t *Tracer) Start(name string) *Trace {
 		ID:     fmt.Sprintf("%08x-%06x", uint32(t.epoch>>10), n&0xffffff),
 		Name:   name,
 	}
-	tr.root = &Span{trace: tr, Name: name, Start: time.Now()}
+	tr.root = newSpan(tr, name)
 	return tr
 }
 
@@ -203,6 +203,24 @@ type Span struct {
 	Events   []Event
 	Children []*Span
 	ended    bool
+
+	// attrs backs Attrs for the first spanInlineAttrs attributes, so a
+	// span's SetInt/SetStr calls ride on the span's own allocation instead
+	// of growing a slice one append at a time; a seventh spills to the
+	// heap as usual.
+	attrs [spanInlineAttrs]Attr
+}
+
+// spanInlineAttrs is how many attributes a span holds without a further
+// allocation: the parse span sets six, and most spans fewer.
+const spanInlineAttrs = 6
+
+// newSpan allocates a started span of trace tr with its inline attribute
+// storage in place.
+func newSpan(tr *Trace, name string) *Span {
+	s := &Span{trace: tr, Name: name, Start: time.Now()}
+	s.Attrs = s.attrs[:0]
+	return s
 }
 
 // Span starts a child span.
@@ -210,7 +228,7 @@ func (s *Span) Span(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{trace: s.trace, Name: name, Start: time.Now()}
+	c := newSpan(s.trace, name)
 	s.Children = append(s.Children, c)
 	return c
 }

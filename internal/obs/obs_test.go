@@ -253,3 +253,60 @@ func TestLabeledRuns(t *testing.T) {
 		t.Error("Labeled did not run f")
 	}
 }
+
+// TestTraceJSONPinned pins the /traces rendering byte for byte over a
+// trace with nested spans, string and integer attributes, an event, and a
+// span with more attributes than it stores inline. Times are fixed after
+// the fact so the output is deterministic.
+func TestTraceJSONPinned(t *testing.T) {
+	tr := NewTracer(NewRingSink(1)).Start("extract")
+	tr.ID = "0000abcd-000001"
+	root := tr.Root()
+	sp := tr.Span("parse")
+	for i, k := range []string{"tokens", "instances", "pruned", "rolledBack", "fixpointIters", "completeParses", "spill"} {
+		sp.SetInt(k, int64(10*i))
+	}
+	sp.SetStr("grammar", "default")
+	g := sp.Span("fixpoint")
+	g.SetStr("symbols", "QI")
+	g.Event("prune", Str("pref", "R2"), Int("killed", 3))
+	g.End()
+	sp.End()
+	m := tr.Span("merge")
+	m.End()
+	tr.End()
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	root.Start, root.Dur = t0, 1500*time.Microsecond
+	sp.Start, sp.Dur = t0.Add(100*time.Microsecond), 900*time.Microsecond
+	g.Start, g.Dur = t0.Add(150*time.Microsecond), 400*time.Microsecond
+	g.Events[0].At = 50 * time.Microsecond
+	m.Start, m.Dur = t0.Add(1100*time.Microsecond), 200*time.Microsecond
+
+	raw, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"traceId":"0000abcd-000001","name":"extract","start":"2026-01-02T03:04:05Z","durUs":1500,` +
+		`"root":{"name":"extract","startUs":0,"durUs":1500,"children":[` +
+		`{"name":"parse","startUs":100,"durUs":900,"attrs":{"completeParses":50,"fixpointIters":40,"grammar":"default","instances":10,"pruned":20,"rolledBack":30,"spill":60,"tokens":0},` +
+		`"children":[{"name":"fixpoint","startUs":150,"durUs":400,"attrs":{"symbols":"QI"},"events":[{"name":"prune","atUs":200,"attrs":{"killed":3,"pref":"R2"}}]}]},` +
+		`{"name":"merge","startUs":1100,"durUs":200}]}}`
+	if string(raw) != want {
+		t.Errorf("trace JSON changed:\n got %s\nwant %s", raw, want)
+	}
+}
+
+// TestSpanInlineAttrs pins the span's attribute budget: up to six
+// attributes ride on the span's own allocation.
+func TestSpanInlineAttrs(t *testing.T) {
+	tr := NewTracer(NewRingSink(1)).Start("extract")
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := newSpan(tr, "parse")
+		for i := 0; i < spanInlineAttrs; i++ {
+			sp.SetInt("k", int64(i))
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a span with %d attributes costs %.1f allocations, want 1", spanInlineAttrs, allocs)
+	}
+}
