@@ -290,8 +290,7 @@ func BenchmarkNew(b *testing.B) {
 
 // BenchmarkPoolExtract is the steady-state serving cost per request: one
 // shared extractor over the shared grammar, sequentially. (The name
-// predates the shared extractor; the bench-frontend and bench-parser
-// baselines are keyed by it.)
+// predates the shared extractor.)
 func BenchmarkPoolExtract(b *testing.B) {
 	ex, err := formext.New()
 	if err != nil {

@@ -11,10 +11,10 @@
 //	formcrawl -root DIR                         # crawl a fixture tree
 //	formcrawl -synthetic 100000                 # crawl generated pages
 //
-// The report is one JSON object on stdout (BENCH_stream.json is a saved
-// run); pages, forms detected, extraction outcomes, pages/sec, the peak
-// in-flight count against the configured bound, and the peak heap against
-// the configured ceiling.
+// The report is one JSON object on stdout: pages, forms detected,
+// extraction outcomes, pages/sec, the peak in-flight count against the
+// configured bound, and the peak heap against the configured ceiling.
+// TestSyntheticCrawlRetention holds the bound and a flat retained heap.
 package main
 
 import (

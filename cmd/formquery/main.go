@@ -8,11 +8,11 @@
 //
 // Output is an EXPERIMENTS-style accuracy table on stderr (routing
 // precision/recall per domain, answer completeness/soundness vs the
-// ground-truth oracle) and a machine-readable report on stdout
-// (BENCH_query.json, schema formext-bench-query/v1) with fan-out
-// throughput and latency, plus an optional kill phase: one source dies and
-// the workload keeps running, counting degraded answers and requiring zero
-// query errors.
+// ground-truth oracle) and a machine-readable report on stdout (schema
+// formext-query-report/v1) with fan-out throughput and latency, plus an
+// optional kill phase: one source dies and the workload keeps running,
+// counting degraded answers and requiring zero query errors. Its end-to-end
+// serving figures are the BENCHMARK.json ledger's query workload.
 package main
 
 import (
@@ -35,7 +35,7 @@ import (
 	"formext/internal/model"
 )
 
-const reportSchema = "formext-bench-query/v1"
+const reportSchema = "formext-query-report/v1"
 
 type options struct {
 	domains     string

@@ -59,20 +59,38 @@ func TestLabEndToEnd(t *testing.T) {
 }
 
 // TestRunKillPhase exercises run() end to end including the kill phase,
-// asserting the degrade-don't-error contract at the CLI level.
+// asserting the degrade-don't-error contract at the CLI level: run fails on
+// any kill-phase query error, on a kill phase with no degraded answer, and
+// on routing precision/recall below the floor.
 func TestRunKillPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full CLI run")
 	}
-	// run() writes its JSON report to stdout; that noise is acceptable
-	// under go test. A non-nil error is the only failure signal.
-	opt := options{
-		domains: "Books", perDomain: 3, records: 24, queries: 12,
-		concurrency: 4, fanout: 8, seed: 11, hardness: 0,
-		kill: true, minRouting: 0.9,
+	cases := []struct {
+		name string
+		opt  options
+	}{
+		{"books", options{
+			domains: "Books", perDomain: 3, records: 24, queries: 12,
+			concurrency: 4, fanout: 8, seed: 11, hardness: 0,
+			kill: true, minRouting: 0.9,
+		}},
+		// The CLI defaults: three domains, four sources each.
+		{"defaults", options{
+			domains: "Books,Airfares,Automobiles", perDomain: 4, records: 48, queries: 60,
+			concurrency: 8, fanout: 8, seed: 11, hardness: 0,
+			kill: true, minRouting: 0.9,
+		}},
 	}
-	if err := run(opt); err != nil {
-		t.Fatalf("run: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// run() writes its JSON report to stdout; that noise is
+			// acceptable under go test. A non-nil error is the only failure
+			// signal.
+			if err := run(c.opt); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		})
 	}
 }
 

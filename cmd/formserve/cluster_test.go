@@ -293,9 +293,11 @@ func TestPeersRequireSelf(t *testing.T) {
 	}
 }
 
-// TestClusterSmoke is the fleet scenario the CI cluster-smoke target runs
-// under the race detector: a 3-peer fleet under concurrent skewed load, one
-// peer killed mid-run, zero request errors end to end.
+// TestClusterSmoke is the fleet scenario, run under the race detector by
+// `make check`: a 3-peer fleet under concurrent skewed load extracts each
+// page exactly once fleet-wide, then loses one peer mid-load — listener and
+// connections cut at once, as a SIGKILL leaves them — and the survivors
+// answer every request sent to them.
 func TestClusterSmoke(t *testing.T) {
 	servers, hts := newFleet(t, 3, func(cc *cluster.Config) {
 		cc.Retries = -1
@@ -312,11 +314,24 @@ func TestClusterSmoke(t *testing.T) {
 	for i := range pages {
 		pages[i] = fleetPage(i)
 	}
-	// Deterministic skew: low page indices dominate, like a Zipf corpus.
-	pick := func(seq int) string { return pages[(seq*seq)%corpus] }
+	// Deterministic skew: page j takes corpus-j slots of every
+	// corpus*(corpus+1)/2 requests, so low indices dominate like a Zipf
+	// corpus and every page is still requested.
+	pick := func(seq int) string {
+		r, j := seq%(corpus*(corpus+1)/2), 0
+		for r >= corpus-j {
+			r -= corpus - j
+			j++
+		}
+		return pages[j]
+	}
 
-	var errs atomic.Int64
-	drive := func(targets []*httptest.Server) {
+	// drive sends workers*perPhase requests round-robin over hts and returns
+	// the failed or non-200 requests per peer; midway, if set, runs once a
+	// third of them have completed, while the other workers keep sending.
+	drive := func(page func(seq int) string, midway func()) []int64 {
+		var fails [3]atomic.Int64
+		var done atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -324,39 +339,66 @@ func TestClusterSmoke(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perPhase; i++ {
 					seq := w*perPhase + i
-					target := targets[seq%len(targets)]
-					resp, err := http.Post(target.URL+"/extract", "text/html",
-						strings.NewReader(pick(seq)))
+					peer := seq % len(hts)
+					resp, err := http.Post(hts[peer].URL+"/extract", "text/html",
+						strings.NewReader(page(seq)))
 					if err != nil {
-						errs.Add(1)
-						continue
+						fails[peer].Add(1)
+					} else {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							fails[peer].Add(1)
+						}
 					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						errs.Add(1)
+					if done.Add(1) == workers*perPhase/3 && midway != nil {
+						midway()
 					}
 				}
 			}(w)
 		}
 		wg.Wait()
+		return []int64{fails[0].Load(), fails[1].Load(), fails[2].Load()}
 	}
 
-	drive(hts) // full fleet
-	hts[2].Close()
-	drive(hts[:2]) // survivors, dead peer's keys falling back / re-owned
-
-	if n := errs.Load(); n != 0 {
-		t.Fatalf("%d request errors across kill scenario, want 0", n)
+	// Full fleet: zero errors, and the owners' singleflight plus forwarding
+	// extract each distinct page exactly once anywhere in the fleet.
+	if fails := drive(pick, nil); fails[0]+fails[1]+fails[2] != 0 {
+		t.Fatalf("full fleet: failed requests per peer %v, want none", fails)
 	}
-	// The survivors noticed: at least one of them ejected the dead peer or
-	// served its keys by fallback.
-	fallbacks := mPeerFallback.Value()
+	distinct := map[string]bool{}
+	for seq := 0; seq < workers*perPhase; seq++ {
+		distinct[pick(seq)] = true
+	}
+	if len(distinct) != corpus {
+		t.Fatalf("skewed pick reached %d of %d pages", len(distinct), corpus)
+	}
+	var misses uint64
+	for _, s := range servers {
+		misses += s.ex.Options().Cache.Stats().Misses
+	}
+	if misses != uint64(len(distinct)) {
+		t.Errorf("fleet-wide extractions = %d for %d distinct pages, want one per key", misses, len(distinct))
+	}
+
+	// Mid-load kill. Pages not seen before, so the survivors' hot copies
+	// cannot hide the dead owner: each of its keys must be fetched, fail,
+	// and fall back until the survivor ejects it.
+	fallbacksBefore := mPeerFallback.Value()
+	fails := drive(func(seq int) string { return fleetPage(corpus + seq) }, func() {
+		hts[2].Listener.Close()
+		hts[2].CloseClientConnections()
+	})
+	if fails[0]+fails[1] != 0 {
+		t.Fatalf("survivors: failed requests %v, want none; only the dead peer may fail", fails[:2])
+	}
+	fallbacks := mPeerFallback.Value() - fallbacksBefore
 	var ejections uint64
 	for _, s := range servers[:2] {
 		ejections += s.cluster.Stats().Ejections
 	}
-	if fallbacks == 0 && ejections == 0 {
-		t.Error("no fallbacks and no ejections recorded; kill scenario did not exercise degradation")
+	t.Logf("kill phase: %d fallbacks, %d ejections, %d failed requests to the dead peer", fallbacks, ejections, fails[2])
+	if fallbacks == 0 {
+		t.Error("no fallbacks recorded; kill scenario did not exercise degradation")
 	}
 }

@@ -5,8 +5,8 @@ package core_test
 // of representative generated pages, BenchmarkEnforce is the late-pruning
 // configuration whose cost is dominated by preference enforcement and
 // rollback, and BenchmarkBruteForce is the exhaustive ablation of Section
-// 4.2.1. `go test -bench . ./internal/core` regenerates the numbers
-// recorded in BENCH_parser.json.
+// 4.2.1. The recorded parse figures are the ledger's core.us and
+// core.e7_120_s (`bash benchmark/run.sh`).
 
 import (
 	"testing"

@@ -10,8 +10,8 @@ import (
 )
 
 // The benchmarks run over the Qam fixture (the amazon.com-style interface of
-// the paper's Figure 3a) because that is the page the end-to-end extraction
-// targets in BENCH_frontend.json are stated against.
+// the paper's Figure 3a), the page the allocation budget in
+// TestColdExtractAllocationBudget is stated against.
 
 func BenchmarkLexQam(b *testing.B) {
 	src := []byte(dataset.QamHTML)

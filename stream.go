@@ -39,7 +39,7 @@ type PageResult struct {
 // StreamGauge observes a stream's in-flight page count from outside: attach
 // one with StreamOptions.Gauge and read InFlight/Peak while the stream
 // runs. cmd/formcrawl uses it to prove the admission bound held over a
-// whole crawl (BENCH_stream.json records the peak).
+// whole crawl (the ledger reports the peak as stream.peak_inflight).
 type StreamGauge struct {
 	cur  atomic.Int64
 	peak atomic.Int64
