@@ -35,8 +35,8 @@ func renderParse(res *Result) string {
 	return sb.String()
 }
 
-// TestConjunctOrderPermutationParity fuzzes the claim the selectivity
-// reordering rests on: within a tier, ∧-factors commute under EvalBool
+// TestConjunctOrderPermutationParity fuzzes the claim the fixed within-tier
+// order rests on: within a tier, ∧-factors commute under EvalBool
 // semantics, so ANY within-tier evaluation order must produce the
 // identical parse — same instances, same trees, same stats (including
 // ConstraintEvals: a tier is one counted event no matter which factor
@@ -65,7 +65,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 			if pp.conj == nil {
 				continue
 			}
-			co := pp.order.Load()
+			co := &pp.order
 			// Validate the tier structure before shuffling inside it.
 			for s := 0; s+1 < len(co.tier); s++ {
 				for _, ci := range co.ord[co.tier[s]:co.tier[s+1]] {
@@ -80,7 +80,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 				seg := next.ord[co.tier[s]:co.tier[s+1]]
 				rng.Shuffle(len(seg), func(a, b int) { seg[a], seg[b] = seg[b], seg[a] })
 			}
-			pp.order.Store(&next)
+			pp.order = next
 			permuted++
 		}
 		if permuted == 0 {
@@ -94,38 +94,6 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 			t.Fatalf("trial %d: permuted conjunct order changed the parse\nbaseline:\n%s\ngot:\n%s",
 				trial, baseline, got)
 		}
-	}
-}
-
-// TestConjunctReorderConvergesParity drives enough parses through one
-// shared plan to cross several reorder milestones, then checks the parse
-// is still identical to a fresh parser's — measured-selectivity reordering
-// must never change output, only cost.
-func TestConjunctReorderConvergesParity(t *testing.T) {
-	toks := qamFragmentTokens()
-	fresh := mustParser(t, figure6Grammar, Options{})
-	res, err := fresh.Parse(toks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := renderParse(res)
-
-	warm := mustParser(t, figure6Grammar, Options{})
-	evals0 := warm.pl.conjEvals.Load()
-	for i := 0; i < 60; i++ {
-		if _, err := warm.Parse(toks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if warm.pl.conjEvals.Load() <= evals0 {
-		t.Fatal("no conjunct evaluations recorded; selectivity counters dead")
-	}
-	res, err = warm.Parse(toks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderParse(res); got != baseline {
-		t.Fatalf("reordered plan changed the parse\nbaseline:\n%s\ngot:\n%s", baseline, got)
 	}
 }
 

@@ -398,14 +398,6 @@ type engine struct {
 	// Dedup key scratch.
 	keyBuf []int32
 
-	// Per-conjunct selectivity counters (index-parallel to plan.conjStats),
-	// accumulated locally and flushed to the plan at release.
-	conjEvals   []int32
-	conjRejects []int32
-
-	// Preference verdict memo (see pairMemo).
-	prefMemo pairMemo
-
 	// Index-form parent graph, engine-owned scratch: parHead[id] is the
 	// index of instance id's first parent edge in parEdges (-1 when it has
 	// none), edges are prepend-linked via next. Rollback and maximization
@@ -510,9 +502,6 @@ func (e *engine) forgetInstances() {
 }
 
 func (p *Parser) release(e *engine) {
-	if len(e.conjEvals) > 0 {
-		p.pl.noteConjStats(e.conjEvals, e.conjRejects)
-	}
 	e.forgetInstances()
 	p.pool.Put(e)
 }
@@ -573,17 +562,6 @@ func (e *engine) begin(ctx context.Context, pl *plan, opt Options, universe int)
 	for i := range e.joinCover {
 		e.joinCover[i].Reset(universe)
 	}
-	if n := len(pl.conjStats); n > 0 {
-		if cap(e.conjEvals) < n {
-			e.conjEvals = make([]int32, n)
-			e.conjRejects = make([]int32, n)
-		}
-		e.conjEvals = e.conjEvals[:n]
-		e.conjRejects = e.conjRejects[:n]
-		clear(e.conjEvals)
-		clear(e.conjRejects)
-	}
-	e.prefMemo.begin()
 	e.parHead = e.parHead[:0]
 	e.parEdges = e.parEdges[:0]
 	e.sizes = e.sizes[:0]
@@ -994,7 +972,7 @@ func (e *engine) emit(pp *prodPlan) int {
 
 // evalTier evaluates the constraint factors that become fully bound when
 // join slot `slot` is filled — segment slot of the production's conjunct
-// schedule — short-circuiting on the first rejecting factor. Reordering
+// schedule — short-circuiting on the first rejecting factor. The order
 // within a tier is observationally pure — under EvalBool semantics the
 // ∧-factors commute (see grammar.CompiledProd) — so any order gives the
 // original constraint's verdict; the schedule only decides how little work
@@ -1005,11 +983,9 @@ func (e *engine) emit(pp *prodPlan) int {
 // the interpreted oracle evaluates the identical source factor through the
 // tree-walking interpreter with exactly the bound prefix in scope — so a
 // compiled-vs-interpreted divergence on any factor still splits the two
-// modes' instance sets and trips parity. Per-factor hit counters accumulate
-// engine-locally (compiled mode only) and feed the plan's measured
-// selectivity at release.
+// modes' instance sets and trips parity.
 func (e *engine) evalTier(pp *prodPlan, slot int) bool {
-	co := pp.order.Load()
+	co := &pp.order
 	lo, hi := co.tier[slot], co.tier[slot+1]
 	if lo == hi {
 		return true
@@ -1034,11 +1010,8 @@ func (e *engine) evalTier(pp *prodPlan, slot int) bool {
 		}
 		return true
 	}
-	base := pp.counters
 	for _, ci := range co.ord[lo:hi] {
-		e.conjEvals[base+int(ci)]++
 		if !pp.conj[ci].Expr.EvalBool(e.frame) {
-			e.conjRejects[base+int(ci)]++
 			return false
 		}
 	}
@@ -1094,7 +1067,7 @@ func (e *engine) enforce(sp *obs.Span, pi int) int {
 			if w.Dead || w == l {
 				continue
 			}
-			if !e.prefHoldsMemo(pp, pi, w, l) {
+			if !e.prefHolds(pp, w, l) {
 				continue
 			}
 			// See the kill comment for why the winner's own subtree is
@@ -1116,32 +1089,6 @@ func (e *engine) enforce(sp *obs.Span, pi int) int {
 			obs.Int("rolledBack", int64(e.stats.RolledBack-rolled0)))
 	}
 	return kills
-}
-
-// prefHoldsMemo is prefHolds behind the engine's pair memo. The verdict of
-// a preference over a (winner, loser) pair depends only on state that is
-// immutable once both instances exist — never on Dead, which enforce checks
-// outside — so a memoized verdict stays valid for the whole parse. Late
-// pruning re-runs every preference over the same population until a round
-// kills nothing; the memo turns those re-runs into table hits. The
-// interpreted oracle path stays unmemoized, which keeps TestCompiledParity
-// a differential check that memoization changes no verdict.
-func (e *engine) prefHoldsMemo(pp *prefPlan, pi int, w, l *grammar.Instance) bool {
-	if e.opt.Interpreted {
-		return e.prefHolds(pp, w, l)
-	}
-	pref := uint16(pi + 1)
-	wid, lid := int32(w.ID), int32(l.ID)
-	if st := e.prefMemo.lookup(pref, wid, lid); st != pairUnknown {
-		return st == pairHolds
-	}
-	v := e.prefHolds(pp, w, l)
-	st := pairFails
-	if v {
-		st = pairHolds
-	}
-	e.prefMemo.insert(pref, wid, lid, st)
-	return v
 }
 
 // prefHolds evaluates one preference over a winner/loser pair: the

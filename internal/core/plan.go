@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"formext/internal/grammar"
 )
@@ -54,31 +53,7 @@ type plan struct {
 	// maxArity is the largest production component count, sizing the
 	// engine's join scratch.
 	maxArity int
-
-	// Selectivity state — the one mutable corner of the plan, all accessed
-	// through atomics (plans are shared across parsers and goroutines).
-	// conjStats holds two counters per conjunct, flat across productions
-	// (prodPlan.counters is each production's offset); engines accumulate
-	// locally during a parse and flush here at release. Every production's
-	// current evaluation order lives behind an atomic pointer in its
-	// prodPlan; reorder() recomputes all of them from the counters at
-	// exponentially spaced eval milestones, so steady-state parses stop
-	// paying for reordering entirely.
-	conjStats   []conjStat
-	conjEvals   atomic.Int64 // conjunct evaluations flushed since the last reorder
-	nextReorder atomic.Int64 // eval milestone that triggers the next reorder
-	reorderMu   sync.Mutex
 }
-
-// conjStat is the measured record of one conjunct: how many times it was
-// evaluated and how many of those evaluations rejected the assignment.
-type conjStat struct {
-	evals   atomic.Int64
-	rejects atomic.Int64
-}
-
-// conjReorderEvery is the first reorder milestone; each reorder doubles it.
-const conjReorderEvery = 4096
 
 // planCache memoizes the compiled plan per grammar, keyed by the *Grammar
 // pointer. Grammars are immutable after construction (see grammar.Grammar),
@@ -115,7 +90,6 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 	}
 
 	pl.prods = make([]prodPlan, len(g.Prods))
-	nConj := 0
 	for i, p := range g.Prods {
 		pp := &pl.prods[i]
 		pp.p = p
@@ -128,16 +102,12 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 		pp.win = windowsOf(p)
 		pp.conj = cg.Prods[i].Conjuncts
 		if pp.conj != nil {
-			pp.counters = nConj
-			nConj += len(pp.conj)
+			pp.order = tierOrder(pp.conj, len(p.Components))
 		}
 		if len(p.Components) > pl.maxArity {
 			pl.maxArity = len(p.Components)
 		}
 	}
-	pl.conjStats = make([]conjStat, nConj)
-	pl.nextReorder.Store(conjReorderEvery)
-	pl.reorder() // seed every production's order from the static costs
 
 	prefIdx := make(map[*grammar.Preference]int, len(g.Prefs))
 	pl.prefs = make([]prefPlan, len(g.Prefs))
@@ -211,14 +181,12 @@ type prodPlan struct {
 	compSyms   []int
 	constraint *grammar.CompiledExpr
 
-	// Selectivity-ordered conjunct evaluation. conj is the constraint's
-	// top-level ∧-chain in grammar order (nil when it has fewer than two
-	// factors — the engine then evaluates constraint whole); order is the
-	// current evaluation schedule over conj, replaced wholesale by
-	// reorder(); counters is this production's offset into plan.conjStats.
-	conj     []grammar.CompiledConjunct
-	order    atomic.Pointer[conjOrder]
-	counters int
+	// Tiered conjunct evaluation. conj is the constraint's top-level
+	// ∧-chain in grammar order (nil when it has fewer than two factors —
+	// the engine then evaluates constraint whole); order is the evaluation
+	// schedule over conj, built once by tierOrder.
+	conj  []grammar.CompiledConjunct
+	order conjOrder
 
 	// win holds each join slot's adjacency window (see window.go), nil
 	// when no top-level factor is an adjacency over two components.
@@ -227,13 +195,11 @@ type prodPlan struct {
 
 // conjOrder is one production's conjunct evaluation schedule: ord lists the
 // factor indices tier-major — grouped by the join slot at which each factor
-// becomes fully bound (CompiledConjunct.MaxSlot), measured-selectivity order
+// becomes fully bound (CompiledConjunct.MaxSlot), ascending static cost
 // within a tier — and tier[s]..tier[s+1] bounds slot s's segment of ord
 // (len(tier) is the production arity plus one). The engine evaluates
 // segment s the moment join slot s is filled, so a rejecting factor prunes
 // every deeper candidate combination instead of one complete assignment.
-// Both fields are immutable once published; reorder() swaps in a fresh
-// value wholesale.
 type conjOrder struct {
 	ord  []uint8
 	tier []uint8
@@ -248,104 +214,35 @@ type prefPlan struct {
 	win      *grammar.CompiledExpr
 }
 
-// noteConjStats merges one engine's per-parse conjunct counters (evals and
-// rejects, index-parallel to conjStats) into the plan, and triggers a
-// reorder when the cumulative evaluation count crosses the next milestone.
-// Called once per parse at engine release, so the hot loop's counters stay
-// plain int32 increments.
-func (pl *plan) noteConjStats(evals, rejects []int32) {
-	total := int64(0)
-	for i := range evals {
-		if e := evals[i]; e != 0 {
-			pl.conjStats[i].evals.Add(int64(e))
-			total += int64(e)
-		}
-		if r := rejects[i]; r != 0 {
-			pl.conjStats[i].rejects.Add(int64(r))
-		}
+// tierOrder builds one production's conjunct schedule over conj, for a
+// production of the given arity. The tier structure is fixed by the
+// grammar — each factor belongs to the join slot where its variables
+// become fully bound — and within a tier the factors run cheapest first
+// by static cost, ties in grammar order. Under EvalBool semantics the
+// ∧-factors of a tier commute, so the order decides only how much work a
+// rejection costs, never the verdict.
+func tierOrder(conj []grammar.CompiledConjunct, arity int) conjOrder {
+	k := len(conj)
+	ord := make([]uint8, k)
+	for ci := range ord {
+		ord[ci] = uint8(ci)
 	}
-	if total == 0 {
-		return
-	}
-	if pl.conjEvals.Add(total) >= pl.nextReorder.Load() {
-		pl.reorder()
-	}
-}
-
-// reorder recomputes every production's conjunct evaluation schedule from
-// the measured counters. The tier structure is static — each factor belongs
-// to the join slot where its variables become fully bound — so only the
-// order within a tier is measured: a conjunct's score is its smoothed
-// reject rate (rejects+1)/(evals+2) divided by its static cost — the
-// expected rejections bought per unit of work — and a tier evaluates its
-// factors in descending score order. With no measurements yet the smoothed
-// rate is uniform, so the seed order within a tier is simply ascending
-// static cost (cheapest first), ties broken by grammar order. Milestones
-// double after every reorder: the schedule converges while reordering cost
-// amortizes to zero on long-running parsers.
-func (pl *plan) reorder() {
-	pl.reorderMu.Lock()
-	defer pl.reorderMu.Unlock()
-	nProds := 0
-	nConj := 0
-	nTier := 0
-	for i := range pl.prods {
-		if pl.prods[i].conj != nil {
-			nProds++
-			nConj += len(pl.prods[i].conj)
-			nTier += len(pl.prods[i].compSyms) + 1
+	sort.SliceStable(ord, func(a, b int) bool {
+		ca, cb := &conj[ord[a]], &conj[ord[b]]
+		if ca.MaxSlot != cb.MaxSlot {
+			return ca.MaxSlot < cb.MaxSlot
 		}
+		return max(ca.Cost, 1) < max(cb.Cost, 1)
+	})
+	// tier[s] = first index of ord whose factor has MaxSlot >= s, so
+	// ord[tier[s]:tier[s+1]] is exactly slot s's segment.
+	tier := make([]uint8, 0, arity+1)
+	idx := 0
+	for s := 0; s <= arity; s++ {
+		for idx < k && conj[ord[idx]].MaxSlot < s {
+			idx++
+		}
+		tier = append(tier, uint8(idx))
 	}
-	if nConj == 0 {
-		return
-	}
-	// One backing array each for orders and tier bounds, one conjOrder per
-	// production: three allocations per reorder, and O(1) reorders per
-	// milestone doubling.
-	flat := make([]uint8, 0, nConj)
-	tiers := make([]uint8, 0, nTier)
-	heads := make([]conjOrder, 0, nProds)
-	for i := range pl.prods {
-		pp := &pl.prods[i]
-		if pp.conj == nil {
-			continue
-		}
-		k := len(pp.conj)
-		start := len(flat)
-		for ci := 0; ci < k; ci++ {
-			flat = append(flat, uint8(ci))
-		}
-		ord := flat[start : start+k : start+k]
-		score := func(ci uint8) float64 {
-			st := &pl.conjStats[pp.counters+int(ci)]
-			rate := float64(st.rejects.Load()+1) / float64(st.evals.Load()+2)
-			cost := pp.conj[ci].Cost
-			if cost < 1 {
-				cost = 1
-			}
-			return rate / float64(cost)
-		}
-		sort.SliceStable(ord, func(a, b int) bool {
-			ta, tb := pp.conj[ord[a]].MaxSlot, pp.conj[ord[b]].MaxSlot
-			if ta != tb {
-				return ta < tb
-			}
-			return score(ord[a]) > score(ord[b])
-		})
-		// tier[s] = first index of ord whose factor has MaxSlot >= s, so
-		// ord[tier[s]:tier[s+1]] is exactly slot s's segment.
-		arity := len(pp.compSyms)
-		tstart := len(tiers)
-		idx := 0
-		for s := 0; s <= arity; s++ {
-			for idx < k && pp.conj[ord[idx]].MaxSlot < s {
-				idx++
-			}
-			tiers = append(tiers, uint8(idx))
-		}
-		tb := tiers[tstart : tstart+arity+1 : tstart+arity+1]
-		heads = append(heads, conjOrder{ord: ord, tier: tb})
-		pp.order.Store(&heads[len(heads)-1])
-	}
-	pl.nextReorder.Store(pl.conjEvals.Load()*2 + conjReorderEvery)
+	return conjOrder{ord: ord, tier: tier}
 }

@@ -113,7 +113,7 @@ func init() {
 
 	// Selection-list content predicates.
 	regB1("oplist", func(_ *EvalCtx, a *Instance) bool { return opList(a.Token) })
-	regB1("dateish", func(_ *EvalCtx, a *Instance) bool { return dateish(a.Token) })
+	regB1("dateish", func(_ *EvalCtx, a *Instance) bool { return Dateish(a.Token) })
 	regB1("numlist", func(_ *EvalCtx, a *Instance) bool { return numList(a.Token) })
 
 	// String tests with literal arguments.
@@ -469,10 +469,11 @@ var monthNames = []string{
 	"jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "oct", "nov", "dec",
 }
 
-// dateish reports whether a selection list looks like a date part: month
+// Dateish reports whether a selection list looks like a date part: month
 // names, a day-of-month list, or a year list. Small numeric lists (e.g.
-// passenger counts 1-9) deliberately do not qualify.
-func dateish(t *token.Token) bool {
+// passenger counts 1-9) deliberately do not qualify. It backs the dateish
+// builtin and the merger's date-domain inference.
+func Dateish(t *token.Token) bool {
 	if t == nil || t.Type != token.SelectList || len(t.Options) < 2 {
 		return false
 	}

@@ -103,10 +103,10 @@ var (
 // EvalBool semantics the factors commute: evaluation errors and false both
 // collapse to false, so EvalBool(A && B) == EvalBool(A) && EvalBool(B) for
 // every A, B, and the parser is free to evaluate the factors in any order —
-// in particular in measured-selectivity order, cheapest most-rejecting
-// first. Every factor is pure (builtins only read instance state; the text
-// memos they populate are idempotent), so short-circuiting a reordered
-// chain is observationally identical to evaluating the original expression.
+// in particular cheapest first by static cost. Every factor is pure
+// (builtins only read instance state; the text memos they populate are
+// idempotent), so short-circuiting a reordered chain is observationally
+// identical to evaluating the original expression.
 type CompiledProd struct {
 	Constraint *CompiledExpr
 	Conjuncts  []CompiledConjunct
@@ -115,7 +115,8 @@ type CompiledProd struct {
 // CompiledConjunct is one top-level ∧-factor of a production constraint,
 // compiled on the same unboxed fast path as the full expression. Cost is a
 // static estimate of the factor's evaluation cost (see staticCost) that
-// seeds the parser's selectivity ordering before hit counters exist.
+// orders the factors the parser evaluates at the same join slot, cheapest
+// first.
 //
 // MaxSlot is the highest component slot any of the factor's variables
 // resolves to — the earliest point in a left-to-right join at which the
@@ -751,7 +752,7 @@ func FlattenAnd(e Expr, out []Expr) []Expr {
 // bitset words; subtree walks visit every node; text predicates join and
 // scan the yield (memoized per instance, but the first evaluation pays).
 // Unlisted builtins get costMid. The values only need to order conjuncts
-// sensibly before measured selectivity takes over.
+// sensibly: within one join slot the parser evaluates the cheapest first.
 const (
 	costGeom = 1
 	costMid  = 3

@@ -110,6 +110,9 @@ func TestSelectBuiltins(t *testing.T) {
 		return sel(opts...)
 	}()
 	years := sel("2004", "2005", "2006", "2007")
+	abbrevs := sel("Jan", "Feb", "Mar", "Apr")
+	// A leading sign parses: "+2004" counts as a year.
+	signedYears := sel("+2004", "+2005", "+2006", "+2007")
 	passengers := sel("1", "2", "3", "4", "5")
 	ops := sel("contains", "starts with", "exact phrase")
 	makes := sel("Ford", "Toyota", "Honda")
@@ -130,6 +133,8 @@ func TestSelectBuiltins(t *testing.T) {
 	check("months", "dateish(a)", months, true)
 	check("days", "dateish(a)", days, true)
 	check("years", "dateish(a)", years, true)
+	check("month abbreviations", "dateish(a)", abbrevs, true)
+	check("signed years", "dateish(a)", signedYears, true)
 	check("passengers not dateish", "dateish(a)", passengers, false)
 	check("makes not dateish", "dateish(a)", makes, false)
 	check("ops list", "oplist(a)", ops, true)

@@ -23,20 +23,16 @@ type Arena struct {
 
 // Release ends the tree's life: every slab is zeroed and kept for the next
 // parse, and the scratch stack keeps its capacity. Nodes, attribute values
-// and text carved from the arena must not be used afterwards. It returns
-// the bytes handed over to the caller, which is always 0 now that the
-// arena keeps its blocks; the result is kept for callers written against
-// the hand-over API.
-func (a *Arena) Release() int64 {
+// and text carved from the arena must not be used afterwards.
+func (a *Arena) Release() {
 	if a == nil {
-		return 0
+		return
 	}
 	a.nodes.Reset()
 	a.children.Reset()
 	a.attrs.Reset()
 	a.text.Reset()
 	a.stack = a.stack[:0]
-	return 0
 }
 
 // newNode carves a node. Nil-arena calls fall back to the heap, keeping

@@ -36,13 +36,10 @@ type Arena struct {
 
 // Release ends the render tree's life and recycles the arena for the next
 // run; boxes and text carved from it must not be used afterwards (Reset's
-// zeroing also unpins the DOM the boxes pointed at). It returns the bytes
-// handed over to the caller, which is always 0 now that the arena keeps
-// its blocks; the result is kept for callers written against the
-// hand-over API.
-func (a *Arena) Release() int64 {
+// zeroing also unpins the DOM the boxes pointed at).
+func (a *Arena) Release() {
 	if a == nil {
-		return 0
+		return
 	}
 	a.boxes.Reset()
 	a.ptrs.Reset()
@@ -55,7 +52,6 @@ func (a *Arena) Release() int64 {
 	a.nums.Reset()
 	a.spans = a.spans[:0]
 	clear(a.measure)
-	return 0
 }
 
 func (a *Arena) newBox() *Box {

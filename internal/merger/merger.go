@@ -344,62 +344,11 @@ func allDateish(widgets []*token.Token) bool {
 			continue
 		}
 		any = true
-		if !selectDateish(w) {
+		if !grammar.Dateish(w) {
 			return false
 		}
 	}
 	return any
-}
-
-// selectDateish mirrors the grammar's dateish builtin for merger-side
-// inference.
-func selectDateish(t *token.Token) bool {
-	if len(t.Options) < 2 {
-		return false
-	}
-	months, days, years := 0, 0, 0
-	for _, o := range t.Options {
-		o = strings.ToLower(strings.TrimSpace(o))
-		for _, m := range monthNames {
-			if o == m || strings.HasPrefix(o, m+" ") {
-				months++
-				break
-			}
-		}
-		if n, ok := atoi(o); ok {
-			if n >= 1 && n <= 31 {
-				days++
-			}
-			if n >= 1900 && n <= 2035 {
-				years++
-			}
-		}
-	}
-	n := len(t.Options)
-	return months*3 >= n*2 || days >= 25 || (years >= 4 && years*3 >= n*2)
-}
-
-var monthNames = []string{
-	"january", "february", "march", "april", "may", "june", "july",
-	"august", "september", "october", "november", "december",
-	"jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "oct", "nov", "dec",
-}
-
-func atoi(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, false
-		}
-		n = n*10 + int(r-'0')
-		if n > 1<<30 {
-			return 0, false
-		}
-	}
-	return n, true
 }
 
 func hasRangeMarks(texts []string) bool {
