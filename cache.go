@@ -25,8 +25,6 @@ type CacheConfig struct {
 	// TTL bounds entry lifetime; 0 means entries live until evicted by
 	// byte pressure.
 	TTL time.Duration
-	// Shards is the shard count (rounded up to a power of two, default 16).
-	Shards int
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters: hits,
@@ -51,7 +49,7 @@ type Cache struct {
 
 // NewCache builds an extraction cache with the given budget.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	c, err := cache.New(cache.Config{MaxBytes: cfg.MaxBytes, TTL: cfg.TTL, Shards: cfg.Shards})
+	c, err := cache.New(cache.Config{MaxBytes: cfg.MaxBytes, TTL: cfg.TTL})
 	if err != nil {
 		return nil, fmt.Errorf("formext: %w", err)
 	}

@@ -207,7 +207,6 @@ func TestClusterPeerKillFallsBackThenEjects(t *testing.T) {
 	page := pageOwnedBy(t, servers[0], victim)
 	hts[2].Close()
 
-	before := mPeerFallback.Value()
 	// Every request to a survivor answers 200 while the owner is dead: the
 	// fetch fails, the survivor extracts locally.
 	for i := 0; i < 2; i++ {
@@ -219,7 +218,7 @@ func TestClusterPeerKillFallsBackThenEjects(t *testing.T) {
 			t.Errorf("request %d: source = %q, want local-fallback", i, fr.source)
 		}
 	}
-	if got := mPeerFallback.Value() - before; got != 2 {
+	if got := servers[0].m.peerFallback.Value(); got != 2 {
 		t.Errorf("peer fallbacks = %d, want 2", got)
 	}
 
@@ -384,7 +383,10 @@ func TestClusterSmoke(t *testing.T) {
 	// Mid-load kill. Pages not seen before, so the survivors' hot copies
 	// cannot hide the dead owner: each of its keys must be fetched, fail,
 	// and fall back until the survivor ejects it.
-	fallbacksBefore := mPeerFallback.Value()
+	var fallbacksBefore int64
+	for _, s := range servers[:2] {
+		fallbacksBefore += s.m.peerFallback.Value()
+	}
 	fails := drive(func(seq int) string { return fleetPage(corpus + seq) }, func() {
 		hts[2].Listener.Close()
 		hts[2].CloseClientConnections()
@@ -392,11 +394,13 @@ func TestClusterSmoke(t *testing.T) {
 	if fails[0]+fails[1] != 0 {
 		t.Fatalf("survivors: failed requests %v, want none; only the dead peer may fail", fails[:2])
 	}
-	fallbacks := mPeerFallback.Value() - fallbacksBefore
+	var fallbacks int64
 	var ejections uint64
 	for _, s := range servers[:2] {
+		fallbacks += s.m.peerFallback.Value()
 		ejections += s.cluster.Stats().Ejections
 	}
+	fallbacks -= fallbacksBefore
 	t.Logf("kill phase: %d fallbacks, %d ejections, %d failed requests to the dead peer", fallbacks, ejections, fails[2])
 	if fallbacks == 0 {
 		t.Error("no fallbacks recorded; kill scenario did not exercise degradation")

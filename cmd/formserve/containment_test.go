@@ -42,8 +42,8 @@ func TestPanicIs500AndServerSurvives(t *testing.T) {
 		return ex.ExtractBytes(ctx, src)
 	})
 	srv := newTestServer(t)
+	h := srv.Config.Handler.(*server)
 
-	panicsBefore := mPanics.Value()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var hostileStatus int
@@ -81,8 +81,8 @@ func TestPanicIs500AndServerSurvives(t *testing.T) {
 	if hostileStatus != http.StatusInternalServerError {
 		t.Errorf("hostile page status = %d, want 500", hostileStatus)
 	}
-	if mPanics.Value() != panicsBefore+1 {
-		t.Errorf("formserve_panics_total did not advance")
+	if got := h.m.panics.Value(); got != 1 {
+		t.Errorf("formserve_panics_total = %d, want 1", got)
 	}
 
 	// And the server keeps serving afterwards.
@@ -108,7 +108,6 @@ func TestDeadlineIs503WithRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadlinesBefore := mDeadline.Value()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract",
 		strings.NewReader("<form>slow</form>")))
@@ -118,8 +117,8 @@ func TestDeadlineIs503WithRetryAfter(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
-	if mDeadline.Value() != deadlinesBefore+1 {
-		t.Error("formserve_deadline_total did not advance")
+	if got := h.m.deadline.Value(); got != 1 {
+		t.Errorf("formserve_deadline_total = %d, want 1", got)
 	}
 }
 
@@ -174,8 +173,6 @@ func TestClientGoneNotCountedAsDeadline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/extract",
 		strings.NewReader("<form>gone</form>")).WithContext(ctx)
-	deadlineBefore, goneBefore, errorsBefore :=
-		mDeadline.Value(), mClientGone.Value(), mExtractErrors.Value()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -183,13 +180,13 @@ func TestClientGoneNotCountedAsDeadline(t *testing.T) {
 	}()
 	cancel()
 	<-done
-	if mClientGone.Value() != goneBefore+1 {
-		t.Error("formserve_client_gone_total did not advance")
+	if got := h.m.clientGone.Value(); got != 1 {
+		t.Errorf("formserve_client_gone_total = %d, want 1", got)
 	}
-	if mDeadline.Value() != deadlineBefore {
+	if h.m.deadline.Value() != 0 {
 		t.Error("client-gone request counted in formserve_deadline_total")
 	}
-	if mExtractErrors.Value() != errorsBefore {
+	if h.m.extractErrors.Value() != 0 {
 		t.Error("client-gone request counted as an extraction error")
 	}
 }
@@ -208,8 +205,6 @@ func TestClientGoneIsDropped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/extract",
 		strings.NewReader("<form>gone</form>")).WithContext(ctx)
-	extractionsBefore, errorsBefore, goneBefore :=
-		mExtractions.Value(), mExtractErrors.Value(), mClientGone.Value()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -217,13 +212,13 @@ func TestClientGoneIsDropped(t *testing.T) {
 	}()
 	cancel() // the client hangs up
 	<-done
-	if mClientGone.Value() != goneBefore+1 {
-		t.Error("formserve_client_gone_total did not advance")
+	if got := h.m.clientGone.Value(); got != 1 {
+		t.Errorf("formserve_client_gone_total = %d, want 1", got)
 	}
-	if mExtractions.Value() != extractionsBefore {
+	if h.m.extractions.Value() != 0 {
 		t.Error("abandoned extraction counted as a success")
 	}
-	if mExtractErrors.Value() != errorsBefore {
+	if h.m.extractErrors.Value() != 0 {
 		t.Error("abandoned extraction counted as an extraction error")
 	}
 }
@@ -243,7 +238,6 @@ func TestDegradedExtractionReported(t *testing.T) {
 	}
 	page.WriteString("</form>")
 
-	degradedBefore := mDegraded.Value()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract",
 		strings.NewReader(page.String())))
@@ -257,7 +251,7 @@ func TestDegradedExtractionReported(t *testing.T) {
 	if len(out.Degraded) == 0 {
 		t.Error("response did not list the degradations")
 	}
-	if mDegraded.Value() != degradedBefore+1 {
-		t.Error("formserve_degraded_total did not advance")
+	if got := h.m.degraded.Value(); got != 1 {
+		t.Errorf("formserve_degraded_total = %d, want 1", got)
 	}
 }

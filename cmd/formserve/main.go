@@ -21,7 +21,7 @@
 //	GET  /grammar            the derived 2P grammar (DSL text)
 //	GET  /healthz            liveness probe (is the process alive?)
 //	GET  /readyz             readiness probe (should peers route here?)
-//	GET  /metrics            expvar counters, parser totals, latency histogram
+//	GET  /metrics            this server's counters, parser totals, latency histogram
 //	GET  /traces             recent extraction traces (?id=... for one)
 //	GET  /                   paste-a-form demo page
 //
@@ -75,6 +75,10 @@
 // body and the X-Trace-Id header, and GET /traces?id=<id> replays the full
 // span tree — per-stage timings, fix-point groups, prune and merge-conflict
 // events — of that exact request.
+//
+// Every metric belongs to the server that serves it: /metrics renders that
+// server's own counters and views, never a process-wide registry (only
+// expvar's cmdline and memstats are process-wide by nature).
 package main
 
 import (
@@ -106,123 +110,172 @@ import (
 // maxBody bounds the request body of /extract.
 const maxBody = 1 << 20
 
-// Serving metrics, published through expvar and exposed at /metrics.
-// Declared at package level so they are registered exactly once no matter
-// how many handlers tests construct.
-var (
-	// mRequests counts requests per endpoint.
-	mRequests = expvar.NewMap("formserve_requests_total")
-	// mExtractions counts successful extractions.
-	mExtractions = expvar.NewInt("formserve_extractions_total")
-	// mExtractErrors counts failed extractions (bad bodies excluded).
-	mExtractErrors = expvar.NewInt("formserve_extract_errors_total")
-	// mLatencyNs accumulates extraction wall time in nanoseconds; divide by
+// metrics is one server's serving counters, rendered by its own /metrics.
+// Each server owns its set, so servers built in one process never share a
+// counter or a cache view.
+type metrics struct {
+	// requests counts requests per endpoint.
+	requests expvar.Map
+	// extractions counts successful extractions.
+	extractions expvar.Int
+	// extractErrors counts failed extractions (bad bodies excluded).
+	extractErrors expvar.Int
+	// latencyNs accumulates extraction wall time in nanoseconds; divide by
 	// formserve_extractions_total for the mean. Kept for scrapers that
-	// already track it; mLatency is the interpretable view.
-	mLatencyNs = expvar.NewInt("formserve_extract_latency_ns_total")
-	// mLatency is the extraction latency histogram: count, sum, min, max
-	// and cumulative fixed buckets (100µs–10s), so one scrape of /metrics
-	// is readable without computing deltas.
-	mLatency = formext.NewHistogram()
-	// mTokens accumulates tokens seen across extractions.
-	mTokens = expvar.NewInt("formserve_tokens_total")
-	// mInstances accumulates parser instances created across extractions.
-	mInstances = expvar.NewInt("formserve_instances_total")
-	// mPrunes and mRollbacks accumulate the parser's preference-pruning
-	// work: instances killed directly and killed transitively.
-	mPrunes    = expvar.NewInt("formserve_prunes_total")
-	mRollbacks = expvar.NewInt("formserve_rollbacks_total")
-	// mFixpoint accumulates fix-point rounds across all schedule groups.
-	mFixpoint = expvar.NewInt("formserve_fixpoint_iters_total")
-	// mConflicts and mMissing accumulate the merger's two error classes.
-	mConflicts = expvar.NewInt("formserve_merge_conflicts_total")
-	mMissing   = expvar.NewInt("formserve_merge_missing_total")
-	// mPanics counts extractions that panicked and were contained; each one
+	// already track it; latency is the interpretable view.
+	latencyNs expvar.Int
+	// latency is the extraction latency histogram: count, sum, min, max and
+	// cumulative fixed buckets (100µs–10s), so one scrape of /metrics is
+	// readable without computing deltas.
+	latency *formext.Histogram
+	// tokens accumulates tokens seen across extractions.
+	tokens expvar.Int
+	// instances accumulates parser instances created across extractions.
+	instances expvar.Int
+	// prunes and rollbacks accumulate the parser's preference-pruning work:
+	// instances killed directly and killed transitively.
+	prunes, rollbacks expvar.Int
+	// fixpoint accumulates fix-point rounds across all schedule groups.
+	fixpoint expvar.Int
+	// conflicts and missing accumulate the merger's two error classes.
+	conflicts, missing expvar.Int
+	// panics counts extractions that panicked and were contained; each one
 	// is a bug worth a bug report, but none of them is an outage.
-	mPanics = expvar.NewInt("formserve_panics_total")
-	// mDeadline counts extractions cut off by the -extract-timeout deadline
+	panics expvar.Int
+	// deadline counts extractions cut off by the -extract-timeout deadline
 	// (answered 503 + Retry-After).
-	mDeadline = expvar.NewInt("formserve_deadline_total")
-	// mClientGone counts extractions abandoned because the client hung up;
+	deadline expvar.Int
+	// clientGone counts extractions abandoned because the client hung up;
 	// they are neither successes nor extraction errors.
-	mClientGone = expvar.NewInt("formserve_client_gone_total")
-	// mDegraded counts successful extractions that were degraded by an input
+	clientGone expvar.Int
+	// degraded counts successful extractions that were degraded by an input
 	// budget (depth cap, token cap, instance cap, parse budget).
-	mDegraded = expvar.NewInt("formserve_degraded_total")
-	// mForwarded counts requests answered by forwarding to the key's owning
+	degraded expvar.Int
+	// forwarded counts requests answered by forwarding to the key's owning
 	// peer (hot-copy answers included); the owner's own counters record the
 	// extraction work.
-	mForwarded = expvar.NewInt("formserve_forwarded_total")
-	// mPeerFallback counts requests whose owning peer could not be reached
+	forwarded expvar.Int
+	// peerFallback counts requests whose owning peer could not be reached
 	// and were served by local extraction instead — the graceful-degradation
 	// path. Nonzero here with zero request errors is the cluster working as
 	// designed around a dead peer.
-	mPeerFallback = expvar.NewInt("formserve_peer_fallback_total")
-	// mNotModified counts /extract requests answered 304 from the
+	peerFallback expvar.Int
+	// notModified counts /extract requests answered 304 from the
 	// content-hash ETag before any extraction work ran.
-	mNotModified = expvar.NewInt("formserve_not_modified_total")
-)
+	notModified expvar.Int
 
-// activeCache, activeCluster and activeGauge hold the handler's extraction
-// cache, cluster view and in-flight gauge for the expvars below. Atomic
-// pointers (rather than fields read by closures created in newHandler)
-// because expvar registration is process-global and must happen exactly
-// once, while tests construct many handlers.
-var (
-	activeCache   atomic.Pointer[formext.Cache]
-	activeCluster atomic.Pointer[cluster.Cluster]
-	activeGauge   atomic.Pointer[formext.StreamGauge]
-)
+	// queries counts /query requests that reached the engine.
+	queries expvar.Int
+	// queryParseErrors counts malformed query strings (the only /query input
+	// the engine rejects outright).
+	queryParseErrors expvar.Int
+	// queryDegraded counts answers that came back degraded — an unroutable
+	// constraint or an unreachable source. The query still answered.
+	queryDegraded expvar.Int
+	// queryRecords accumulates unified records returned across answers.
+	queryRecords expvar.Int
+	// queryFanout accumulates sources actually queried, for mean fan-out.
+	queryFanout expvar.Int
+	// queryLatency is the end-to-end mediation latency histogram (route +
+	// translate + fan-out + unify).
+	queryLatency *formext.Histogram
+	// sourceRegs and sourceDels count source registry mutations.
+	sourceRegs, sourceDels expvar.Int
 
-func init() {
-	expvar.Publish("formserve_extract_latency_ns", mLatency)
-	expvar.Publish("formserve_cache", expvar.Func(func() any {
-		c := activeCache.Load()
-		if c == nil {
-			return nil
-		}
-		st := c.Stats()
-		return map[string]int64{
-			"cache_hits":      int64(st.Hits),
-			"cache_misses":    int64(st.Misses),
-			"cache_evictions": int64(st.Evictions),
-			"cache_bytes":     st.Bytes,
-			"cache_entries":   int64(st.Entries),
-			"coalesced":       int64(st.Coalesced),
-		}
-	}))
-	// formserve_inflight is the serving-side StreamGauge: extractions (local
-	// and forwarded) currently in flight, and the high-water mark.
-	expvar.Publish("formserve_inflight", expvar.Func(func() any {
-		g := activeGauge.Load()
-		if g == nil {
-			return nil
-		}
-		return map[string]int64{"live": g.InFlight(), "peak": g.Peak()}
-	}))
-	// formserve_cluster is the cluster tier's view: ring membership, fetch
-	// and hot-copy counters in aggregate and per peer.
-	expvar.Publish("formserve_cluster", expvar.Func(func() any {
-		cl := activeCluster.Load()
-		if cl == nil {
-			return nil
-		}
-		st := cl.Stats()
-		hot := cl.HotStats()
-		return map[string]any{
-			"self":         st.Self,
-			"live_peers":   st.LivePeers,
-			"total_peers":  st.TotalPeers,
-			"fetches":      st.Fetches,
-			"fetch_errors": st.FetchErrors,
-			"hot_hits":     st.HotHits,
-			"hot_bytes":    hot.Bytes,
-			"hot_entries":  hot.Entries,
-			"ejections":    st.Ejections,
-			"revivals":     st.Revivals,
-			"peers":        st.Peers,
-		}
-	}))
+	// all is the /metrics body: every var above under its metric name, the
+	// cache, in-flight and cluster views, and the process-wide cmdline and
+	// memstats. Never published, so it belongs to this server alone.
+	all expvar.Map
+}
+
+// registerMetrics names the server's metrics for /metrics.
+func (s *server) registerMetrics() {
+	m := &s.m
+	m.latency = formext.NewHistogram()
+	m.queryLatency = formext.NewHistogram()
+	for name, v := range map[string]expvar.Var{
+		"formserve_requests_total":                   &m.requests,
+		"formserve_extractions_total":                &m.extractions,
+		"formserve_extract_errors_total":             &m.extractErrors,
+		"formserve_extract_latency_ns_total":         &m.latencyNs,
+		"formserve_extract_latency_ns":               m.latency,
+		"formserve_tokens_total":                     &m.tokens,
+		"formserve_instances_total":                  &m.instances,
+		"formserve_prunes_total":                     &m.prunes,
+		"formserve_rollbacks_total":                  &m.rollbacks,
+		"formserve_fixpoint_iters_total":             &m.fixpoint,
+		"formserve_merge_conflicts_total":            &m.conflicts,
+		"formserve_merge_missing_total":              &m.missing,
+		"formserve_panics_total":                     &m.panics,
+		"formserve_deadline_total":                   &m.deadline,
+		"formserve_client_gone_total":                &m.clientGone,
+		"formserve_degraded_total":                   &m.degraded,
+		"formserve_forwarded_total":                  &m.forwarded,
+		"formserve_peer_fallback_total":              &m.peerFallback,
+		"formserve_not_modified_total":               &m.notModified,
+		"formserve_query_total":                      &m.queries,
+		"formserve_query_parse_errors_total":         &m.queryParseErrors,
+		"formserve_query_degraded_total":             &m.queryDegraded,
+		"formserve_query_records_total":              &m.queryRecords,
+		"formserve_query_fanout_total":               &m.queryFanout,
+		"formserve_query_latency_ns":                 m.queryLatency,
+		"formserve_query_source_registrations_total": &m.sourceRegs,
+		"formserve_query_source_deletions_total":     &m.sourceDels,
+		"formserve_cache":                            expvar.Func(s.cacheView),
+		"formserve_inflight":                         expvar.Func(s.inflightView),
+		"formserve_cluster":                          expvar.Func(s.clusterView),
+		"cmdline":                                    expvar.Get("cmdline"),
+		"memstats":                                   expvar.Get("memstats"),
+	} {
+		m.all.Set(name, v)
+	}
+}
+
+// cacheView is formserve_cache: the extraction cache's counters, or null
+// when the cache is off.
+func (s *server) cacheView() any {
+	c := s.ex.Options().Cache
+	if c == nil {
+		return nil
+	}
+	st := c.Stats()
+	return map[string]int64{
+		"cache_hits":      int64(st.Hits),
+		"cache_misses":    int64(st.Misses),
+		"cache_evictions": int64(st.Evictions),
+		"cache_bytes":     st.Bytes,
+		"cache_entries":   int64(st.Entries),
+		"coalesced":       int64(st.Coalesced),
+	}
+}
+
+// inflightView is formserve_inflight: extractions (local and forwarded)
+// currently in flight, and the high-water mark.
+func (s *server) inflightView() any {
+	return map[string]int64{"live": s.inflight.InFlight(), "peak": s.inflight.Peak()}
+}
+
+// clusterView is formserve_cluster: ring membership, fetch and hot-copy
+// counters in aggregate and per peer, or null outside cluster mode.
+func (s *server) clusterView() any {
+	if s.cluster == nil {
+		return nil
+	}
+	st := s.cluster.Stats()
+	hot := s.cluster.HotStats()
+	return map[string]any{
+		"self":         st.Self,
+		"live_peers":   st.LivePeers,
+		"total_peers":  st.TotalPeers,
+		"fetches":      st.Fetches,
+		"fetch_errors": st.FetchErrors,
+		"hot_hits":     st.HotHits,
+		"hot_bytes":    hot.Bytes,
+		"hot_entries":  hot.Entries,
+		"ejections":    st.Ejections,
+		"revivals":     st.Revivals,
+		"peers":        st.Peers,
+	}
 }
 
 func main() {
@@ -408,6 +461,7 @@ type server struct {
 	engine         *metaquery.Engine    // deep-web query mediation (/query, /sources)
 	inflight       *formext.StreamGauge // live/peak extraction concurrency
 	ready          atomic.Bool          // readiness: flipped false during drain
+	m              metrics              // this server's /metrics
 	mux            *http.ServeMux
 	extractTimeout time.Duration
 	queryTimeout   time.Duration
@@ -448,9 +502,6 @@ func newHandler(cfg config) (*server, error) {
 			return nil, err
 		}
 		opts.Cache = cache
-		activeCache.Store(cache)
-	} else {
-		activeCache.Store(nil)
 	}
 	ex, err := formext.New(opts)
 	if err != nil {
@@ -494,8 +545,7 @@ func newHandler(cfg config) (*server, error) {
 	case len(cfg.peers) > 0:
 		return nil, errors.New("formserve: -peers requires -self")
 	}
-	activeCluster.Store(s.cluster)
-	activeGauge.Store(s.inflight)
+	s.registerMetrics()
 	// The mediation engine shares the extractor's tracer so /query spans land in
 	// the same flight recorder as extraction spans.
 	s.engine = metaquery.New(metaquery.Config{
@@ -509,15 +559,15 @@ func newHandler(cfg config) (*server, error) {
 			return nil, err
 		}
 	}
-	s.mux.HandleFunc("/extract", s.handleExtract)
+	s.mux.HandleFunc("/extract", func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, true) })
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/sources", s.handleSources)
 	s.mux.HandleFunc("/sources/", s.handleSourceID)
-	s.mux.HandleFunc("/cluster/fetch", s.handleClusterFetch)
+	s.mux.HandleFunc(cluster.FetchPath, func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, false) })
 	s.mux.HandleFunc("/grammar", s.handleGrammar)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.Handle("/metrics", expvar.Handler())
+	s.mux.HandleFunc(cluster.ReadyPath, s.handleReadyz)
+	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/", s.handleIndex)
 	return s, nil
@@ -531,9 +581,9 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch path {
 	case "/extract", "/cluster/fetch", "/grammar", "/healthz", "/readyz", "/metrics", "/traces", "/",
 		"/query", "/sources":
-		mRequests.Add(path, 1)
+		s.m.requests.Add(path, 1)
 	default:
-		mRequests.Add("other", 1)
+		s.m.requests.Add("other", 1)
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -584,14 +634,20 @@ func (s *server) safeExtract(ctx context.Context, src []byte) (res *formext.Resu
 	return extract(ctx, s.ex, src)
 }
 
-// handleExtract is the public extraction endpoint: content-hash
-// revalidation first (an If-None-Match covering the page's key answers 304
-// with zero work), then — in cluster mode — consistent-hash routing to the
-// key's owner, then local extraction (as the owner, as a single node, or
-// as the fallback for an unreachable owner).
-func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
+// serveExtract serves both extraction endpoints: content-hash revalidation
+// first (an If-None-Match covering the page's key answers 304 with zero
+// work), then — with route set, in cluster mode — consistent-hash routing to
+// the key's owner, then local extraction (as the owner, as a single node, or
+// as the fallback for an unreachable owner). /extract routes; the
+// peer-internal /cluster/fetch, the owner-side landing of a forwarded miss,
+// does not — so forwarding cannot loop — and exists only in cluster mode.
+func (s *server) serveExtract(w http.ResponseWriter, r *http.Request, route bool) {
+	if !route && s.cluster == nil {
+		http.Error(w, "not in cluster mode", http.StatusNotFound)
+		return
+	}
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST HTML to /extract", http.StatusMethodNotAllowed)
+		http.Error(w, "POST HTML to "+r.URL.Path, http.StatusMethodNotAllowed)
 		return
 	}
 	src, ok := readPage(w, r)
@@ -605,7 +661,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if s.revalidate(w, r, etag) {
 		return
 	}
-	if s.cluster != nil {
+	if route && s.cluster != nil {
 		owner, self := s.cluster.Owner(key)
 		if !self {
 			if s.relayPeer(w, r, owner, key, src) {
@@ -614,37 +670,11 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			// The owner is unreachable: serve this request ourselves. The
 			// key's locality degrades (survivors may each extract it once)
 			// but the request never errors.
-			mPeerFallback.Add(1)
+			s.m.peerFallback.Add(1)
 			w.Header().Set("X-Cluster-Source", "local-fallback")
 		} else {
 			w.Header().Set("X-Cluster-Source", "local")
 		}
-	}
-	s.extractLocal(w, r, src, etag)
-}
-
-// handleClusterFetch is the peer-internal endpoint: the owner-side landing
-// of a forwarded miss. It is handleExtract with routing removed — always
-// local, so forwarding cannot loop — and exists only in cluster mode.
-func (s *server) handleClusterFetch(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		http.Error(w, "not in cluster mode", http.StatusNotFound)
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST HTML to /cluster/fetch", http.StatusMethodNotAllowed)
-		return
-	}
-	src, ok := readPage(w, r)
-	if !ok {
-		return
-	}
-	s.inflight.Inc()
-	defer s.inflight.Dec()
-	key := s.ex.ExtractKeyBytes(src)
-	etag := extractETag(key, r.URL.Query().Get("trees") != "")
-	if s.revalidate(w, r, etag) {
-		return
 	}
 	s.extractLocal(w, r, src, etag)
 }
@@ -690,7 +720,7 @@ func (s *server) revalidate(w http.ResponseWriter, r *http.Request, etag string)
 		return false
 	}
 	w.Header().Set("ETag", etag)
-	mNotModified.Add(1)
+	s.m.notModified.Add(1)
 	w.WriteHeader(http.StatusNotModified)
 	return true
 }
@@ -714,7 +744,7 @@ func (s *server) relayPeer(w http.ResponseWriter, r *http.Request, owner string,
 	if err != nil {
 		return false
 	}
-	mForwarded.Add(1)
+	s.m.forwarded.Add(1)
 	h := w.Header()
 	h.Set("X-Cluster-Owner", owner)
 	if fr.Hot {
@@ -754,44 +784,44 @@ func (s *server) extractLocal(w http.ResponseWriter, r *http.Request, src []byte
 		var pe *formext.PanicError
 		switch {
 		case errors.As(err, &pe):
-			mExtractErrors.Add(1)
-			mPanics.Add(1)
+			s.m.extractErrors.Add(1)
+			s.m.panics.Add(1)
 			log.Printf("formserve: contained extraction panic: %v\n%s", pe.Value, pe.Stack)
 			http.Error(w, "extraction failed", http.StatusInternalServerError)
 		case r.Context().Err() != nil:
 			// The client is gone; nobody will read an answer. Not a success,
 			// not an extraction error.
-			mClientGone.Add(1)
+			s.m.clientGone.Add(1)
 		case errors.Is(err, context.DeadlineExceeded):
-			mExtractErrors.Add(1)
-			mDeadline.Add(1)
+			s.m.extractErrors.Add(1)
+			s.m.deadline.Add(1)
 			w.Header().Set("Retry-After", s.retryAfter)
 			http.Error(w, "extraction exceeded the server deadline", http.StatusServiceUnavailable)
 		default:
-			mExtractErrors.Add(1)
+			s.m.extractErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 		return
 	}
-	mExtractions.Add(1)
+	s.m.extractions.Add(1)
 	if len(res.Stats.Degraded) > 0 {
-		mDegraded.Add(1)
+		s.m.degraded.Add(1)
 	}
 	lat := time.Since(start).Nanoseconds()
-	mLatencyNs.Add(lat)
-	mLatency.Observe(lat)
+	s.m.latencyNs.Add(lat)
+	s.m.latency.Observe(lat)
 	// Parser-work totals accumulate once per extraction, not once per
 	// request: a cached or coalesced answer carries the original run's
 	// Stats, and re-adding them would inflate the totals with work that
 	// never happened.
 	if !res.Stats.CacheHit && !res.Stats.Coalesced {
-		mTokens.Add(int64(len(res.Tokens)))
-		mInstances.Add(int64(res.Stats.TotalCreated))
-		mPrunes.Add(int64(res.Stats.Pruned))
-		mRollbacks.Add(int64(res.Stats.RolledBack))
-		mFixpoint.Add(int64(res.Stats.FixpointIters))
-		mConflicts.Add(int64(res.Stats.Merge.Conflicts))
-		mMissing.Add(int64(res.Stats.Merge.Missing))
+		s.m.tokens.Add(int64(len(res.Tokens)))
+		s.m.instances.Add(int64(res.Stats.TotalCreated))
+		s.m.prunes.Add(int64(res.Stats.Pruned))
+		s.m.rollbacks.Add(int64(res.Stats.RolledBack))
+		s.m.fixpoint.Add(int64(res.Stats.FixpointIters))
+		s.m.conflicts.Add(int64(res.Stats.Merge.Conflicts))
+		s.m.missing.Add(int64(res.Stats.Merge.Missing))
 	}
 
 	var resp extractResponse
@@ -872,6 +902,18 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Dropped: s.sink.Dropped(),
 		Traces:  s.sink.Traces(),
 	})
+}
+
+// handleMetrics renders this server's metrics as one JSON object, one
+// metric a line, in the layout of expvar.Handler.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	sep := "{\n"
+	s.m.all.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, "%s%q: %s", sep, kv.Key, kv.Value)
+		sep = ",\n"
+	})
+	fmt.Fprint(w, "\n}\n")
 }
 
 func (s *server) handleGrammar(w http.ResponseWriter, r *http.Request) {

@@ -253,6 +253,59 @@ func TestMetricsCountsExtractions(t *testing.T) {
 	}
 }
 
+// TestMetricsArePerServer builds two servers in one process: each /metrics
+// reports its own cache and counters, and building the second leaves the
+// first's view intact.
+func TestMetricsArePerServer(t *testing.T) {
+	a, err := newHandler(config{cacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, page := range []string{`<form>X <input type=text name=x></form>`, `<form>Y <input type=text name=y></form>`} {
+		rec := httptest.NewRecorder()
+		a.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(page)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("extract status = %d", rec.Code)
+		}
+	}
+	b, err := newHandler(config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(s *server) map[string]json.RawMessage {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatalf("/metrics is not one JSON object: %v\n%s", err, rec.Body)
+		}
+		// The 30 formserve_* metrics plus expvar's cmdline and memstats.
+		if len(m) != 32 {
+			t.Errorf("/metrics has %d keys, want 32", len(m))
+		}
+		return m
+	}
+	ma, mb := read(a), read(b)
+	var cache struct {
+		Misses int64 `json:"cache_misses"`
+	}
+	if err := json.Unmarshal(ma["formserve_cache"], &cache); err != nil || cache.Misses != 2 {
+		t.Errorf("server A formserve_cache = %s, want 2 misses", ma["formserve_cache"])
+	}
+	if got := string(mb["formserve_cache"]); got != "null" {
+		t.Errorf("server B (no cache) formserve_cache = %s, want null", got)
+	}
+	if got := string(ma["formserve_extractions_total"]); got != "2" {
+		t.Errorf("server A formserve_extractions_total = %s, want 2", got)
+	}
+	if got := string(mb["formserve_extractions_total"]); got != "0" {
+		t.Errorf("server B formserve_extractions_total = %s, want 0", got)
+	}
+	if got := string(mb["formserve_requests_total"]); strings.Contains(got, "/extract") {
+		t.Errorf("server B formserve_requests_total = %s, counts server A's requests", got)
+	}
+}
+
 func TestGrammarRejectsPost(t *testing.T) {
 	srv := newTestServer(t)
 	resp, err := http.Post(srv.URL+"/grammar", "text/plain", strings.NewReader("x"))

@@ -10,43 +10,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
-	"formext"
 	"formext/internal/metaquery"
 )
-
-// Query-mediation metrics, exposed at /metrics alongside the extraction
-// counters. Package-level for the same once-only registration reason.
-var (
-	// mQueries counts /query requests that reached the engine.
-	mQueries = expvar.NewInt("formserve_query_total")
-	// mQueryParseErrors counts malformed query strings (the only /query
-	// input the engine rejects outright).
-	mQueryParseErrors = expvar.NewInt("formserve_query_parse_errors_total")
-	// mQueryDegraded counts answers that came back degraded — an unroutable
-	// constraint or an unreachable source. The query still answered.
-	mQueryDegraded = expvar.NewInt("formserve_query_degraded_total")
-	// mQueryRecords accumulates unified records returned across answers.
-	mQueryRecords = expvar.NewInt("formserve_query_records_total")
-	// mQueryFanout accumulates sources actually queried, for mean fan-out.
-	mQueryFanout = expvar.NewInt("formserve_query_fanout_total")
-	// mQueryLatency is the end-to-end mediation latency histogram
-	// (route + translate + fan-out + unify).
-	mQueryLatency = formext.NewHistogram()
-	// mSourceRegs and mSourceDels count source registry mutations.
-	mSourceRegs = expvar.NewInt("formserve_query_source_registrations_total")
-	mSourceDels = expvar.NewInt("formserve_query_source_deletions_total")
-)
-
-func init() {
-	expvar.Publish("formserve_query_latency_ns", mQueryLatency)
-}
 
 // sourceSpec is the registration payload of POST /sources and the entry
 // shape of -sources-file: where the source lives and what its interface
@@ -111,7 +82,7 @@ func (s *server) registerSource(ctx context.Context, spec sourceSpec) (sourceSum
 		Model:    res.Model,
 		Form:     res.Form,
 	})
-	mSourceRegs.Add(1)
+	s.m.sourceRegs.Add(1)
 	return sourceSummary{
 		ID:         spec.ID,
 		Endpoint:   spec.Endpoint,
@@ -161,19 +132,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
 		defer cancel()
 	}
-	mQueries.Add(1)
+	s.m.queries.Add(1)
 	start := time.Now()
 	ans, err := s.engine.Query(ctx, string(body))
 	if err != nil {
-		mQueryParseErrors.Add(1)
+		s.m.queryParseErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	mQueryLatency.Observe(time.Since(start).Nanoseconds())
-	mQueryRecords.Add(int64(len(ans.Records)))
-	mQueryFanout.Add(int64(ans.Fanout))
+	s.m.queryLatency.Observe(time.Since(start).Nanoseconds())
+	s.m.queryRecords.Add(int64(len(ans.Records)))
+	s.m.queryFanout.Add(int64(ans.Fanout))
 	if len(ans.Degraded) > 0 {
-		mQueryDegraded.Add(1)
+		s.m.queryDegraded.Add(1)
 	}
 	writeJSON(w, ans)
 }
@@ -269,7 +240,7 @@ func (s *server) handleSourceID(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no source "+id, http.StatusNotFound)
 			return
 		}
-		mSourceDels.Add(1)
+		s.m.sourceDels.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.Header().Set("Allow", "GET, HEAD, DELETE")

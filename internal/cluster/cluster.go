@@ -31,6 +31,13 @@ const (
 	DefaultMaxBody       = 8 << 20
 )
 
+// FetchPath is the owner-side endpoint peer fetches POST to, and ReadyPath
+// the readiness endpoint revival probes GET: formserve's routes.
+const (
+	FetchPath = "/cluster/fetch"
+	ReadyPath = "/readyz"
+)
+
 // Config describes one peer's view of the fleet.
 type Config struct {
 	// Self is this process's own advertised base URL (e.g.
@@ -43,8 +50,6 @@ type Config struct {
 	// sorts) or they will disagree about ownership; disagreement is safe
 	// but wastes work.
 	Peers []string
-	// Replicas is the virtual-node count per peer (0 = DefaultReplicas).
-	Replicas int
 	// FetchTimeout bounds each peer-fetch attempt (0 = DefaultFetchTimeout).
 	FetchTimeout time.Duration
 	// Retries is how many times a failed fetch attempt is retried with
@@ -58,12 +63,6 @@ type Config struct {
 	// ProbeInterval is how often ejected peers are probed for revival
 	// (0 = DefaultProbeInterval, <0 disables probing).
 	ProbeInterval time.Duration
-	// FetchPath is the owner-side endpoint fetches POST to
-	// (default "/cluster/fetch").
-	FetchPath string
-	// ReadyPath is the readiness endpoint revival probes GET
-	// (default "/readyz").
-	ReadyPath string
 	// HotBytes, when positive, keeps a local cache of peer-fetched
 	// responses so a hot key owned elsewhere stops costing a network round
 	// trip. Responses are content-addressed and immutable, so hot copies
@@ -71,8 +70,6 @@ type Config struct {
 	HotBytes int64
 	// HotTTL bounds hot-copy lifetime (0 = until evicted).
 	HotTTL time.Duration
-	// Client overrides the HTTP client (nil = a pooled default).
-	Client *http.Client
 }
 
 // Stats is a point-in-time snapshot of the cluster tier.
@@ -189,26 +186,17 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
-	if cfg.FetchPath == "" {
-		cfg.FetchPath = "/cluster/fetch"
-	}
-	if cfg.ReadyPath == "" {
-		cfg.ReadyPath = "/readyz"
-	}
 	c := &Cluster{
-		cfg:    cfg,
-		client: cfg.Client,
-		peers:  make(map[string]*peerState),
-		stop:   make(chan struct{}),
-	}
-	if c.client == nil {
-		c.client = &http.Client{
+		cfg: cfg,
+		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        64,
 				MaxIdleConnsPerHost: 16,
 				IdleConnTimeout:     90 * time.Second,
 			},
-		}
+		},
+		peers: make(map[string]*peerState),
+		stop:  make(chan struct{}),
 	}
 	if cfg.HotBytes > 0 {
 		hc, err := cache.New(cache.Config{MaxBytes: cfg.HotBytes, TTL: cfg.HotTTL})
@@ -296,7 +284,7 @@ func (c *Cluster) rebuildLocked() {
 			live = append(live, addr)
 		}
 	}
-	c.live = buildRing(live, c.cfg.Replicas)
+	c.live = buildRing(live)
 }
 
 // Owner maps a key to its owning peer. self reports whether this process
@@ -343,7 +331,7 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, key cache.Key, body [
 	if ps != nil {
 		ps.fetches.Add(1)
 	}
-	u := owner + c.cfg.FetchPath
+	u := owner + FetchPath
 	if query != "" {
 		u += "?" + query
 	}
@@ -517,7 +505,7 @@ func (c *Cluster) probeDead() {
 func (c *Cluster) probeReady(addr string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+c.cfg.ReadyPath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+ReadyPath, nil)
 	if err != nil {
 		return false
 	}

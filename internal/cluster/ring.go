@@ -22,10 +22,10 @@ import (
 	"formext/internal/cache"
 )
 
-// DefaultReplicas is the default virtual-node count per peer. 128 points
-// per peer keeps the ownership split within a few percent of even for
-// small fleets while the ring stays tiny (N×128 16-byte points).
-const DefaultReplicas = 128
+// replicas is the virtual-node count per peer. 128 points per peer keeps
+// the ownership split within a few percent of even for small fleets while
+// the ring stays tiny (N×128 16-byte points).
+const replicas = 128
 
 // ring is an immutable consistent-hash ring: peers × replicas points on a
 // 64-bit circle, sorted by position. Lookups walk clockwise from the key's
@@ -53,10 +53,7 @@ type ringPoint struct {
 // so positions are uniform and, critically, identical in every process
 // that builds a ring over the same addresses. An empty peer list yields an
 // empty ring (owner lookups report no owner).
-func buildRing(peers []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+func buildRing(peers []string) *ring {
 	distinct := make([]string, 0, len(peers))
 	seen := make(map[string]bool, len(peers))
 	for _, p := range peers {

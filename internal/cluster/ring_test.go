@@ -21,7 +21,7 @@ func TestRingEvenDistribution(t *testing.T) {
 		"http://127.0.0.1:9302",
 		"http://127.0.0.1:9303",
 	}
-	r := buildRing(peers, DefaultReplicas)
+	r := buildRing(peers)
 	const n = 30000
 	counts := map[string]int{}
 	for i := 0; i < n; i++ {
@@ -43,8 +43,8 @@ func TestRingEvenDistribution(t *testing.T) {
 
 func TestRingStableAcrossMembershipChange(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
-	full := buildRing(peers, DefaultReplicas)
-	without := buildRing(peers[:2], DefaultReplicas)
+	full := buildRing(peers)
+	without := buildRing(peers[:2])
 
 	const n = 10000
 	moved := 0
@@ -75,8 +75,8 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 	// Ownership must be a pure function of the membership list — every
 	// process in the fleet builds its own ring and they must all agree.
 	// Order and duplicates must not matter (the builder sorts and dedupes).
-	a := buildRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 64)
-	b := buildRing([]string{"http://c:1", "http://a:1", "http://b:1", "http://a:1"}, 64)
+	a := buildRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	b := buildRing([]string{"http://c:1", "http://a:1", "http://b:1", "http://a:1"})
 	for i := 0; i < 2000; i++ {
 		k := testKey(i)
 		if a.owner(k) != b.owner(k) {
@@ -86,7 +86,7 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := buildRing([]string{"http://a:1", "http://b:1"}, 8)
+	r := buildRing([]string{"http://a:1", "http://b:1"})
 	// A key positioned past the highest virtual node must wrap to the first.
 	var k cache.Key
 	binary.BigEndian.PutUint64(k[:8], ^uint64(0))
@@ -96,7 +96,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := buildRing(nil, DefaultReplicas)
+	r := buildRing(nil)
 	if got := r.owner(testKey(1)); got != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", got)
 	}

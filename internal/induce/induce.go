@@ -17,8 +17,6 @@ package induce
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"formext/internal/geom"
 	"formext/internal/grammar"
@@ -233,43 +231,11 @@ func allDateish(selects []*token.Token) bool {
 		return false
 	}
 	for _, s := range selects {
-		if !dateishOptions(s.Options) {
+		if !grammar.Dateish(s) {
 			return false
 		}
 	}
 	return true
-}
-
-var monthNames = []string{
-	"january", "february", "march", "april", "may", "june", "july",
-	"august", "september", "october", "november", "december",
-	"jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "oct", "nov", "dec",
-}
-
-func dateishOptions(opts []string) bool {
-	if len(opts) < 2 {
-		return false
-	}
-	months, days, years := 0, 0, 0
-	for _, o := range opts {
-		o = strings.ToLower(strings.TrimSpace(o))
-		for _, m := range monthNames {
-			if o == m || strings.HasPrefix(o, m+" ") {
-				months++
-				break
-			}
-		}
-		if n, err := strconv.Atoi(o); err == nil {
-			if n >= 1 && n <= 31 {
-				days++
-			}
-			if n >= 1900 && n <= 2035 {
-				years++
-			}
-		}
-	}
-	n := len(opts)
-	return months*3 >= n*2 || days >= 25 || (years >= 4 && years*3 >= n*2)
 }
 
 // Counts tallies signatures across a training set.
