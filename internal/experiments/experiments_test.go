@@ -6,6 +6,7 @@ package experiments
 // blow-up, it fails here, not in EXPERIMENTS.md.
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -57,6 +58,20 @@ func TestFig15Shape(t *testing.T) {
 		// A majority of sources extract perfectly or nearly so.
 		if r.PrecDist[1] < 40 {
 			t.Errorf("%s: only %.0f%% of sources at P>=0.9", r.Dataset, r.PrecDist[1])
+		}
+	}
+	// The exact figures, so a change that shifts accuracy shows as a diff
+	// here and not only when it breaches a floor above (Pa, Ra, accuracy).
+	pinned := map[string]string{
+		"Basic":     "0.892209 0.849593 0.870901",
+		"NewSource": "0.928571 0.945455 0.937013",
+		"NewDomain": "0.865922 0.833333 0.849628",
+		"Random":    "0.821429 0.782313 0.801871",
+	}
+	for _, r := range rows {
+		got := fmt.Sprintf("%.6f %.6f %.6f", r.Agg.OverallPrecision, r.Agg.OverallRecall, r.Agg.Accuracy)
+		if got != pinned[r.Dataset] {
+			t.Errorf("%s: Pa Ra accuracy = %s, pinned %s", r.Dataset, got, pinned[r.Dataset])
 		}
 	}
 	// The paper's ordering observations.
