@@ -3,7 +3,7 @@
 # detector (the concurrent serving path — the shared extractor, batch,
 # formserve — is exercised by design), and keep the compiled evaluation
 # plan differentially equal to the interpreted oracle.
-.PHONY: check build vet bench-vet test parity guards hostile fuzz-smoke bench bench-smoke
+.PHONY: check build vet bench-vet test parity guards hostile fuzz-smoke grammar-audit bench bench-smoke
 
 check: build vet bench-vet test parity guards
 
@@ -57,6 +57,15 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzInternName$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzJoinWindow$$' -fuzztime 10s ./internal/core/
+
+# Grammar audit: remove each rule of the default grammar in turn and
+# extract the model golden's corpus (1,095 pages) with the rest. Fails on
+# any rule whose removal changes no model digest, raises no parse cost
+# (instances, constraint evaluations, degradations), keeps the grammar
+# valid, drops no token type's only reading and fails no named test. One
+# corpus pass per rule: a few minutes.
+grammar-audit:
+	go test -count=1 -run '^TestGrammarAudit$$' -audit -v -timeout 30m .
 
 # Run every Go benchmark in the module. The recorded end-to-end and
 # per-layer figures come from the BENCHMARK.json ledger

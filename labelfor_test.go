@@ -44,3 +44,23 @@ func TestLabelForDoesNotCrossWire(t *testing.T) {
 		t.Errorf("fields lost: %s", attrList(res))
 	}
 }
+
+func TestLabelForSelectList(t *testing.T) {
+	// The same far-away label on a selection list: only <label for> pairs
+	// them, and the condition keeps the list's options.
+	src := `<form><table>
+	<tr><td><label for="fm">Format</label></td><td></td></tr>
+	<tr><td></td><td><br><br><select id="fm" name="format"><option>Hardcover</option><option>Paperback</option></select></td></tr>
+	</table></form>`
+	res := mustExtract(t, src)
+	c := findCond(res, "Format")
+	if c == nil {
+		t.Fatalf("label-for condition lost: %s", attrList(res))
+	}
+	if len(c.Fields) != 1 || c.Fields[0] != "format" {
+		t.Errorf("fields = %v", c.Fields)
+	}
+	if len(res.Model.Missing) != 0 {
+		t.Errorf("missing = %v", res.Model.Missing)
+	}
+}
