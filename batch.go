@@ -72,7 +72,7 @@ func (e *BatchError) Error() string {
 // variable so tests can inject per-page failures (the real pipeline is
 // total and never fails on well-formed configurations).
 var extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
-	return ex.ExtractHTMLContext(ctx, src)
+	return ex.ExtractBytes(ctx, viewBytes(src))
 }
 
 // safeExtractPage runs one page with a worker-local panic boundary: a panic

@@ -114,7 +114,7 @@ func TestExtractAllPanickingPageCostsOnlyItself(t *testing.T) {
 func TestExtractAllPageErrorCarriesStageTimings(t *testing.T) {
 	orig := extractPage
 	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
-		res, err := ex.ExtractHTMLContext(ctx, src)
+		res, err := ex.ExtractBytes(ctx, []byte(src))
 		if err != nil {
 			return res, err
 		}

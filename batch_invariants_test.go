@@ -89,7 +89,7 @@ func TestExtractAllBatchErrorInvariant(t *testing.T) {
 					cancel() // mid-batch cancellation fires from inside the pipeline
 					return nil, c.Err()
 				}
-				return ex.ExtractHTMLContext(c, src)
+				return ex.ExtractBytes(c, []byte(src))
 			}
 			t.Cleanup(func() { extractPage = origExtract })
 

@@ -324,7 +324,7 @@ func TestExtractAllDuplicateOfFailedPage(t *testing.T) {
 		if src == "FAIL" {
 			return nil, boom
 		}
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -452,7 +452,7 @@ func TestCacheCancelledLeaderNotCached(t *testing.T) {
 	page := widePage(20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ex.ExtractHTMLContext(ctx, page); !errors.Is(err, context.Canceled) {
+	if _, err := ex.ExtractBytes(ctx, []byte(page)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if n := c.Stats().Entries; n != 0 {

@@ -94,6 +94,42 @@ func TestRunKillPhase(t *testing.T) {
 	}
 }
 
+// TestSoundAtHardnessZero holds /query soundness as an invariant on
+// noise-free sources: at the CLI defaults, no seed may return a record
+// that violates a query constraint. A constraint that matches no unified
+// attribute must empty the answer, not widen it.
+func TestSoundAtHardnessZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten full labs")
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		opt := options{
+			domains: "Books,Airfares,Automobiles", perDomain: 4, records: 48, queries: 60,
+			concurrency: 8, fanout: 8, seed: seed, hardness: 0,
+		}
+		schemas, err := resolveSchemas(opt.domains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &lab{opt: opt, schemas: schemas}
+		if err := l.build(); err != nil {
+			l.close()
+			t.Fatal(err)
+		}
+		queries := l.makeWorkload()
+		r, err := l.score(queries, l.drive(queries))
+		l.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range r.Domains {
+			if d.Soundness != 1 {
+				t.Errorf("seed %d: domain %s soundness %.3f, want 1", seed, d.Domain, d.Soundness)
+			}
+		}
+	}
+}
+
 func TestResolveSchemasErrors(t *testing.T) {
 	if _, err := resolveSchemas("Books,NoSuchDomain"); err == nil {
 		t.Fatal("unknown schema accepted")

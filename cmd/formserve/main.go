@@ -95,6 +95,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -462,7 +463,7 @@ type server struct {
 	inflight       *formext.StreamGauge // live/peak extraction concurrency
 	ready          atomic.Bool          // readiness: flipped false during drain
 	m              metrics              // this server's /metrics
-	mux            *http.ServeMux
+	*http.ServeMux                      // serves every route through handle, in newHandler
 	extractTimeout time.Duration
 	queryTimeout   time.Duration
 	retryAfter     string // preformatted seconds for the Retry-After header
@@ -515,7 +516,7 @@ func newHandler(cfg config) (*server, error) {
 		ex:             ex,
 		sink:           sink,
 		inflight:       &formext.StreamGauge{},
-		mux:            http.NewServeMux(),
+		ServeMux:       http.NewServeMux(),
 		extractTimeout: cfg.extractTimeout,
 		queryTimeout:   cfg.queryTimeout,
 		retryAfter:     strconv.Itoa(retryAfter),
@@ -559,33 +560,32 @@ func newHandler(cfg config) (*server, error) {
 			return nil, err
 		}
 	}
-	s.mux.HandleFunc("/extract", func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, true) })
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/sources", s.handleSources)
-	s.mux.HandleFunc("/sources/", s.handleSourceID)
-	s.mux.HandleFunc(cluster.FetchPath, func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, false) })
-	s.mux.HandleFunc("/grammar", s.handleGrammar)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc(cluster.ReadyPath, s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/", s.handleIndex)
+	// handle registers h, counting each request it serves under its pattern
+	// (/sources/<id> under /sources). Paths no other pattern claims fall to
+	// "/" and count as "other".
+	handle := func(pattern string, h http.HandlerFunc) {
+		key := path.Clean(pattern)
+		s.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if key == "/" && r.URL.Path != "/" {
+				s.m.requests.Add("other", 1)
+			} else {
+				s.m.requests.Add(key, 1)
+			}
+			h(w, r)
+		})
+	}
+	handle("/extract", func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, true) })
+	handle("/query", s.handleQuery)
+	handle("/sources", s.handleSources)
+	handle("/sources/", s.handleSourceID)
+	handle(cluster.FetchPath, func(w http.ResponseWriter, r *http.Request) { s.serveExtract(w, r, false) })
+	handle("/grammar", s.handleGrammar)
+	handle("/healthz", s.handleHealthz)
+	handle(cluster.ReadyPath, s.handleReadyz)
+	handle("/metrics", s.handleMetrics)
+	handle("/traces", s.handleTraces)
+	handle("/", s.handleIndex)
 	return s, nil
-}
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	if strings.HasPrefix(path, "/sources/") {
-		path = "/sources" // per-id routes count under the collection
-	}
-	switch path {
-	case "/extract", "/cluster/fetch", "/grammar", "/healthz", "/readyz", "/metrics", "/traces", "/",
-		"/query", "/sources":
-		s.m.requests.Add(path, 1)
-	default:
-		s.m.requests.Add("other", 1)
-	}
-	s.mux.ServeHTTP(w, r)
 }
 
 // extractResponse is the JSON envelope of /extract.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -303,6 +304,31 @@ func TestMetricsArePerServer(t *testing.T) {
 	}
 	if got := string(mb["formserve_requests_total"]); strings.Contains(got, "/extract") {
 		t.Errorf("server B formserve_requests_total = %s, counts server A's requests", got)
+	}
+}
+
+// TestRequestsCountedPerRoute pins formserve_requests_total's keys: each
+// registered route counts under its own path, /sources/<id> under
+// /sources, and a path no route claims under "other".
+func TestRequestsCountedPerRoute(t *testing.T) {
+	s, err := newHandler(config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/", "/healthz", "/grammar", "/sources", "/sources/x", "/nope", "/extract/x"} {
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m struct {
+		Requests map[string]int `json:"formserve_requests_total"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"/": 1, "/healthz": 1, "/grammar": 1, "/sources": 2, "other": 2, "/metrics": 1}
+	if !reflect.DeepEqual(m.Requests, want) {
+		t.Errorf("formserve_requests_total = %v, want %v", m.Requests, want)
 	}
 }
 

@@ -313,10 +313,10 @@ type Options struct {
 	// whose only added cost is the per-stage wall clock reads.
 	Tracer *Tracer
 	// Cache, when non-nil, is consulted by every HTML extraction —
-	// ExtractHTML, ExtractHTMLContext, ExtractBytes, and the ExtractAll and
-	// ExtractStream workers when the options flow through them: results are
-	// addressed by the content hash of the page bytes plus the grammar and
-	// options fingerprints, a hit skips the whole pipeline, and concurrent
+	// ExtractHTML, ExtractBytes, and the ExtractAll and ExtractStream
+	// workers when the options flow through them: results are addressed by
+	// the content hash of the page bytes plus the grammar and options
+	// fingerprints, a hit skips the whole pipeline, and concurrent
 	// identical requests coalesce into a single extraction. Cached results
 	// are frozen and shared — see the Result ownership rule. One Cache may
 	// back any number of extractors with different options. ExtractTokens
@@ -410,14 +410,21 @@ func (e *Extractor) Grammar() *Grammar { return e.grammar }
 // Options returns the options the extractor was built with.
 func (e *Extractor) Options() Options { return e.opts }
 
-// ExtractHTML runs the full pipeline on HTML source.
+// ExtractHTML runs the full pipeline on HTML source; it is ExtractBytes
+// without a caller context.
 func (e *Extractor) ExtractHTML(src string) (*Result, error) {
-	return e.ExtractHTMLContext(context.Background(), src)
+	return e.ExtractBytes(context.Background(), viewBytes(src))
 }
 
-// ExtractHTMLContext is ExtractHTML under caller cancellation. The context
-// is checked at coarse checkpoints throughout every stage; when it ends,
-// the pipeline stops where it is and returns the partial Result it
+// ExtractBytes runs the full pipeline on a page held as bytes, under caller
+// cancellation. The whole front end — cache-key hashing, lexing, the DOM —
+// reads src in place, but the Result keeps copies of every string it needs,
+// never src itself, so the caller may reuse or overwrite src as soon as the
+// call returns. Callers serving pages already held as []byte (formserve
+// request bodies, crawler fetches) skip a page-sized string conversion.
+//
+// The context is checked at coarse checkpoints throughout every stage; when
+// it ends, the pipeline stops where it is and returns the partial Result it
 // accumulated — tokens, trees, stats, Stats.Degraded — together with an
 // error wrapping the context's. The Result is non-nil even on error, so
 // servers can log where a cancelled page's time went. (One exception: with
@@ -432,20 +439,6 @@ func (e *Extractor) ExtractHTML(src string) (*Result, error) {
 // With Options.Cache set, the raw page bytes are hashed first: a hit
 // returns a shared frozen result without running any stage, and concurrent
 // identical misses coalesce into one extraction.
-//
-// The Result does not alias src: once the call returns, the string's
-// backing memory (for example a buffer viewed through unsafe.String) may
-// be reused.
-func (e *Extractor) ExtractHTMLContext(ctx context.Context, src string) (*Result, error) {
-	return e.ExtractBytes(ctx, viewBytes(src))
-}
-
-// ExtractBytes is ExtractHTMLContext over a byte buffer. The whole front
-// end — cache-key hashing, lexing, the DOM — reads src in place, but the
-// Result keeps copies of every string it needs, never src itself, so the
-// caller may reuse or overwrite src as soon as the call returns. Callers
-// serving pages already held as []byte (formserve request bodies, crawler
-// fetches) skip the page-sized string conversion the string API forces.
 func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
 	if e.opts.Cache != nil {
 		return e.cachedExtract(ctx, src)
@@ -569,7 +562,7 @@ func (e *Extractor) ExtractTokens(toks []*Token) (*Result, error) {
 }
 
 // ExtractTokensContext is ExtractTokens under caller cancellation, with the
-// same partial-result and budget semantics as ExtractHTMLContext.
+// same partial-result and budget semantics as ExtractBytes.
 func (e *Extractor) ExtractTokensContext(ctx context.Context, toks []*Token) (res *Result, err error) {
 	if verr := core.ValidateTokens(toks); verr != nil {
 		return nil, fmt.Errorf("formext: %w", verr)

@@ -183,7 +183,7 @@ func TestCancelledCallerGetsPartialResultAndError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ex.ExtractHTMLContext(ctx, widePage(3000))
+	res, err := ex.ExtractBytes(ctx, []byte(widePage(3000)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -317,7 +317,7 @@ func TestExtractAllContainsPanickingPage(t *testing.T) {
 		if strings.Contains(src, "bomb") {
 			panic("injected page bomb")
 		}
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 

@@ -369,6 +369,13 @@ func (e *Engine) Execute(ctx context.Context, cons []Constraint) *Answer {
 		ans.Sources = reports
 		return ans
 	}
+	// An unrouted constraint cannot be checked, so answering the routed rest
+	// would silently widen the answer: report the routes, return no records.
+	if len(ans.Unrouted) > 0 {
+		ans.Degraded = append(ans.Degraded, "unrouted constraints; no records returned")
+		ans.Sources = reports
+		return ans
+	}
 
 	// Fan out, bounded by the engine-wide semaphore.
 	sp = tr.Span(SpanFanout)

@@ -226,6 +226,27 @@ func TestEngineUnroutableConstraintDegrades(t *testing.T) {
 	if len(ans.Records) != 0 {
 		t.Fatal("records returned for a query that routed nowhere")
 	}
+
+	// A routable constraint beside an unroutable one: the answer to the
+	// routable one alone would be wider than the query, so the engine
+	// reports where the query would go but returns no records.
+	attr, val := pickCond(t, e, model.EnumDomain)
+	ans, err = e.Query(context.Background(), "["+attr+"="+val+"; zorble quux=1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Routed) != 1 || len(ans.Unrouted) != 1 {
+		t.Fatalf("routed = %v, unrouted = %v; want one each", ans.Routed, ans.Unrouted)
+	}
+	if len(ans.Records) != 0 || ans.Fanout != 0 {
+		t.Errorf("%d records from %d sources for a partly unrouted query", len(ans.Records), ans.Fanout)
+	}
+	if len(ans.Sources) != len(d.sources) || !ans.Sources[0].Eligible {
+		t.Errorf("source reports = %+v, want every source reported eligible", ans.Sources)
+	}
+	if len(ans.Degraded) < 2 {
+		t.Errorf("degraded = %v, want the unrouted term and the empty answer", ans.Degraded)
+	}
 }
 
 func TestEngineNoSources(t *testing.T) {

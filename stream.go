@@ -27,7 +27,7 @@ type PageResult struct {
 	// Result is the extraction outcome; never nil on success. When Err is
 	// non-nil it may still be non-nil, carrying the partial result (tokens,
 	// stage timings, parser counters) accumulated before the failure, with
-	// the same semantics as Extractor.ExtractHTMLContext. A page that waited
+	// the same semantics as Extractor.ExtractBytes. A page that waited
 	// on a failed in-flight duplicate gets the canonical error with a nil
 	// Result: the canonical's partial result is mutable and owned by the
 	// canonical's receiver, so it cannot be shared.

@@ -63,7 +63,7 @@ func TestExtractStreamBoundedInFlightSlowConsumer(t *testing.T) {
 			}
 		}
 		defer cur.Add(-1)
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -149,7 +149,7 @@ func TestExtractStreamEmitsAsCompleted(t *testing.T) {
 		if strings.Contains(src, "slow") {
 			<-release
 		}
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -185,7 +185,7 @@ func TestExtractStreamCoalescesInFlightDuplicates(t *testing.T) {
 	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
 		runs.Add(1)
 		<-gate
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -427,7 +427,7 @@ func TestExtractAllDifferentialAgainstLegacy(t *testing.T) {
 		if strings.Contains(src, "FAILPAGE") {
 			return nil, errors.New("injected failure: FAILPAGE")
 		}
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
