@@ -3,9 +3,14 @@
 # detector (the concurrent serving path — the shared extractor, batch,
 # formserve — is exercised by design), and keep the compiled evaluation
 # plan differentially equal to the interpreted oracle.
-.PHONY: check build vet bench-vet test parity guards hostile fuzz-smoke grammar-audit bench bench-smoke
+.PHONY: check fmt build vet bench-vet test parity guards hostile fuzz-smoke grammar-audit bench bench-smoke
 
-check: build vet bench-vet test parity guards
+check: fmt build vet bench-vet test parity guards
+
+# Every Go file, the nested benchmark module's included, must be
+# gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	go build ./...

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [fig4a|fig4b|fig15|timing|ambiguity|baseline|all]
+//	experiments [fig4a|fig4b|fig15|timing|ambiguity|baseline|repair|induce|sweep|errors|all]
 //
 // With no argument, all experiments run.
 package main

@@ -8,12 +8,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestFig4aShape(t *testing.T) {
-	r := RunFig4a(io.Discard)
+	var sb strings.Builder
+	r := RunFig4a(&sb)
 	d := r.Growth.Distinct
 	if len(d) != 150 {
 		t.Fatalf("growth over %d sources", len(d))
@@ -25,6 +27,17 @@ func TestFig4aShape(t *testing.T) {
 	// Flattening: at least 80%% of the vocabulary visible by source 50.
 	if d[49]*10 < final*8 {
 		t.Errorf("vocabulary at source 50 = %d of %d; curve not flattening", d[49], final)
+	}
+	// The cross-domain reuse lines come out in domain order, so two runs
+	// print the same text.
+	var doms []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "cross-domain reuse: "); ok {
+			doms = append(doms, strings.Fields(rest)[0])
+		}
+	}
+	if want := []string{"Airfares", "Automobiles"}; !slices.Equal(doms, want) {
+		t.Errorf("cross-domain reuse domains printed as %v, want %v", doms, want)
 	}
 }
 
@@ -136,6 +149,20 @@ func TestAmbiguityShape(t *testing.T) {
 	if got := treeSize(); got != 42 {
 		t.Errorf("correct parse tree size = %d, want 42", got)
 	}
+	// The exact rows (created/pruned/rolled-back/alive/complete/trees), so
+	// any change to how the ablations run shows as a diff here.
+	pinned := []string{
+		"10893/0/0/10893/1/1",
+		"10893/27/10821/45/1/1",
+		"77/27/5/45/1/1",
+	}
+	for i, r := range rows {
+		got := fmt.Sprintf("%d/%d/%d/%d/%d/%d", r.TotalCreated, r.Pruned, r.RolledBack,
+			r.Alive, r.CompleteParses, r.MaximalTrees)
+		if got != pinned[i] {
+			t.Errorf("%s: %s, pinned %s", r.Mode, got, pinned[i])
+		}
+	}
 }
 
 func TestBaselineShape(t *testing.T) {
@@ -217,6 +244,20 @@ func TestSweepShape(t *testing.T) {
 	if v[len(v)-1].Accuracy > v[2].Accuracy+0.02 {
 		t.Errorf("loose MaxVGap should not beat the default: %.3f vs %.3f",
 			v[len(v)-1].Accuracy, v[2].Accuracy)
+	}
+	// The exact accuracies EXPERIMENTS.md reports, per knob in sweep order.
+	pinned := map[string]string{
+		"MaxHGap": "0.688 0.822 0.932 0.937 0.937 0.937",
+		"MaxVGap": "0.977 0.959 0.937 0.942 0.908",
+	}
+	for knob, want := range pinned {
+		var accs []string
+		for _, r := range byKnob[knob] {
+			accs = append(accs, fmt.Sprintf("%.3f", r.Accuracy))
+		}
+		if got := strings.Join(accs, " "); got != want {
+			t.Errorf("%s accuracies = %s, pinned %s", knob, got, want)
+		}
 	}
 }
 
