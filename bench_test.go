@@ -7,11 +7,13 @@ package formext_test
 // prints the same rows as readable tables.
 
 import (
+	"context"
 	"io"
 	"testing"
 
 	"formext"
 
+	"formext/internal/core"
 	"formext/internal/dataset"
 	"formext/internal/experiments"
 	"formext/internal/grammar"
@@ -126,7 +128,7 @@ func BenchmarkParseSingle25Tokens(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.ExtractTokens(toks); err != nil {
+		if _, err := ex.ExtractTokens(context.Background(), toks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,14 +154,21 @@ func BenchmarkParse120Interfaces(b *testing.B) {
 
 // ---- E8/E9: Section 4.2.1 ambiguity + scheduling ablations ----
 
-func benchAmbiguity(b *testing.B, opt formext.Options, metric string) {
-	ex, err := formext.New(opt)
+// benchAmbiguity parses the Figure 5 fragment's tokens under one parser
+// mode; the ablation modes exist only on internal/core.
+func benchAmbiguity(b *testing.B, opt core.Options, metric string) {
+	ex, err := formext.New()
 	if err != nil {
 		b.Fatal(err)
 	}
+	p, err := core.NewParser(ex.Grammar(), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	toks := ex.Tokenize(dataset.Figure5Fragment)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.ExtractHTML(dataset.Figure5Fragment)
+		res, err := p.Parse(toks)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,17 +179,17 @@ func benchAmbiguity(b *testing.B, opt formext.Options, metric string) {
 func BenchmarkAblationBruteForce(b *testing.B) {
 	// Paper: brute force on the Figure 5 fragment yields 773 instances and
 	// 25 parse trees against 42 instances in the correct tree.
-	benchAmbiguity(b, formext.Options{DisablePreferences: true}, "instances")
+	benchAmbiguity(b, core.Options{DisablePreferences: true}, "instances")
 }
 
 func BenchmarkAblationJITPruning(b *testing.B) {
-	benchAmbiguity(b, formext.Options{}, "instances")
+	benchAmbiguity(b, core.Options{}, "instances")
 }
 
 func BenchmarkAblationNoSchedule(b *testing.B) {
 	// Late pruning: preferences applied only at the end of parsing, with
 	// rollback erasing the aggregated false instances.
-	benchAmbiguity(b, formext.Options{DisableScheduling: true}, "instances")
+	benchAmbiguity(b, core.Options{DisableScheduling: true}, "instances")
 }
 
 // ---- E10: baseline comparison ----

@@ -66,16 +66,11 @@ func (c *Cache) Stats() CacheStats { return c.c.Stats() }
 // sharding stands on (a golden-key test pins it against drift).
 type CacheKey = cache.Key
 
-// ExtractKey returns the content-addressed key an extraction of src would
-// be cached under. It is derived without running any pipeline stage (two
-// SHA-256 passes over the page bytes), so serving layers can route a
-// request — to a cache shard, to a cluster peer — before doing any work.
-func (e *Extractor) ExtractKey(src string) CacheKey {
-	return pageKey(e.keyPrefix, viewBytes(src))
-}
-
-// ExtractKeyBytes is ExtractKey over a byte buffer, sharing it with the
-// extraction instead of forcing a string conversion first.
+// ExtractKeyBytes returns the content-addressed key an extraction of src
+// would be cached under. It is derived without running any pipeline stage
+// (two SHA-256 passes over the page bytes, read in place), so serving layers
+// can route a request — to a cache shard, to a cluster peer — before doing
+// any work.
 func (e *Extractor) ExtractKeyBytes(src []byte) CacheKey {
 	return pageKey(e.keyPrefix, src)
 }
@@ -83,18 +78,14 @@ func (e *Extractor) ExtractKeyBytes(src []byte) CacheKey {
 // cachePrefix derives the per-extractor half of the cache key: a hash over
 // the grammar fingerprint and a canonical rendering of every option that
 // can change an extraction's outcome. Defaulted and explicit spellings of
-// the same configuration (MaxTokens 0 vs DefaultMaxTokens, zero vs default
-// thresholds) hash identically because the resolved values are encoded.
+// the same configuration (MaxTokens 0 vs DefaultMaxTokens) hash identically
+// because the resolved values are encoded.
 // ParseBudget participates only as a budgeted-or-not bit: results that were
 // actually cut short by the budget are never cached (see cacheable), so two
 // budgeted configurations that both ran to completion are interchangeable.
 // The Tracer is deliberately excluded — observability does not change the
 // result.
-func cachePrefix(g *grammar.Grammar, o Options, viewport float64, maxTokens int, budgeted bool) [32]byte {
-	th := o.Thresholds
-	if th == (geom.Thresholds{}) {
-		th = geom.DefaultThresholds
-	}
+func cachePrefix(g *grammar.Grammar, o Options, maxTokens int, budgeted bool) [32]byte {
 	maxInst := o.MaxInstances
 	if maxInst <= 0 {
 		maxInst = core.DefaultMaxInstances
@@ -106,8 +97,11 @@ func cachePrefix(g *grammar.Grammar, o Options, viewport float64, maxTokens int,
 		maxDepth = -1
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "formext/key/v1\n%s\nviewport=%g thresholds=%+v noprefs=%t nosched=%t maxinst=%d maxdepth=%d maxtokens=%d interp=%t budgeted=%t",
-		g.Fingerprint(), viewport, th, o.DisablePreferences, o.DisableScheduling,
+	// The viewport, thresholds and pruning switches are fixed for every
+	// extractor; they stay in the prefix as constants so keys keep the bytes
+	// earlier builds derived and no fleet cache is flushed.
+	fmt.Fprintf(h, "formext/key/v1\n%s\nviewport=800 thresholds=%+v noprefs=false nosched=false maxinst=%d maxdepth=%d maxtokens=%d interp=%t budgeted=%t",
+		g.Fingerprint(), geom.DefaultThresholds,
 		maxInst, maxDepth, maxTokens, o.InterpretedEval, budgeted)
 	var p [32]byte
 	h.Sum(p[:0])

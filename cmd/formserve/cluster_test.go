@@ -74,7 +74,7 @@ func pageOwnedBy(t *testing.T, s *server, owner string) string {
 	t.Helper()
 	for i := 0; i < 500; i++ {
 		page := fleetPage(i)
-		if addr, _ := s.cluster.Owner(s.ex.ExtractKey(page)); addr == owner {
+		if addr, _ := s.cluster.Owner(s.ex.ExtractKeyBytes([]byte(page))); addr == owner {
 			return page
 		}
 	}
@@ -124,12 +124,12 @@ func postExtract(t *testing.T, url, page string, hdr map[string]string) fleetRes
 func TestClusterRoutesToOwnerExactlyOneExtraction(t *testing.T) {
 	servers, hts := newFleet(t, 3, nil)
 	page := fleetPage(0)
-	ownerAddr, _ := servers[0].cluster.Owner(servers[0].ex.ExtractKey(page))
+	ownerAddr, _ := servers[0].cluster.Owner(servers[0].ex.ExtractKeyBytes([]byte(page)))
 
 	// All peers must agree on the owner: same keys, same membership, same
 	// ring (this is the whole coordination story — no owner election).
 	for i, s := range servers {
-		if addr, _ := s.cluster.Owner(s.ex.ExtractKey(page)); addr != ownerAddr {
+		if addr, _ := s.cluster.Owner(s.ex.ExtractKeyBytes([]byte(page))); addr != ownerAddr {
 			t.Fatalf("peer %d maps owner %q, peer 0 maps %q", i, addr, ownerAddr)
 		}
 	}

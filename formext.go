@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"formext/internal/core"
-	"formext/internal/geom"
 	"formext/internal/grammar"
 	"formext/internal/htmlparse"
 	"formext/internal/layout"
@@ -271,17 +270,6 @@ type Options struct {
 	// GrammarSource is 2P-grammar DSL text; empty means the embedded
 	// derived global grammar (grammar.DefaultSource).
 	GrammarSource string
-	// Viewport is the layout width in pixels (default 800).
-	Viewport float64
-	// Thresholds overrides the spatial-relation thresholds; the zero value
-	// means geom.DefaultThresholds.
-	Thresholds geom.Thresholds
-	// DisablePreferences turns off all ambiguity pruning (the brute-force
-	// ablation of Section 4.2.1).
-	DisablePreferences bool
-	// DisableScheduling replaces the 2P schedule with one global fix point
-	// and end-of-parse (late) pruning.
-	DisableScheduling bool
 	// MaxInstances caps instance creation (0 = core.DefaultMaxInstances).
 	MaxInstances int
 	// MaxDepth caps HTML element nesting: elements opened beyond the cap
@@ -347,7 +335,9 @@ type Extractor struct {
 }
 
 // New builds an extractor. With no options it uses the embedded derived
-// global grammar, an 800px viewport and default thresholds.
+// global grammar. Layout runs at an 800px viewport and the parser at the
+// default spatial thresholds; the paper's ablations (other thresholds, no
+// preferences, no 2P schedule) run on internal/core directly.
 //
 // The default grammar is compiled exactly once per process and shared by
 // every extractor (as is its 2P schedule), so constructing extractors is
@@ -369,18 +359,11 @@ func New(opts ...Options) (*Extractor, error) {
 		}
 	}
 	parser, err := core.NewParser(g, core.Options{
-		Thresholds:         o.Thresholds,
-		DisablePreferences: o.DisablePreferences,
-		DisableScheduling:  o.DisableScheduling,
-		MaxInstances:       o.MaxInstances,
-		Interpreted:        o.InterpretedEval,
+		MaxInstances: o.MaxInstances,
+		Interpreted:  o.InterpretedEval,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("formext: %w", err)
-	}
-	eng := layout.New()
-	if o.Viewport > 0 {
-		eng.Viewport = o.Viewport
 	}
 	maxTokens := o.MaxTokens
 	if maxTokens == 0 {
@@ -393,14 +376,14 @@ func New(opts ...Options) (*Extractor, error) {
 		grammar:   g,
 		parser:    parser,
 		merger:    merger.New(g),
-		layout:    eng,
+		layout:    layout.New(),
 		tokenizer: token.NewTokenizer(),
 		maxTokens: maxTokens,
 	}
 	// The key prefix is computed unconditionally — one hash at construction —
 	// because keys are the coordination currency beyond caching: the cluster
-	// tier routes by them (ExtractKey) whether or not a local cache exists.
-	e.keyPrefix = cachePrefix(g, o, eng.Viewport, maxTokens, o.ParseBudget > 0)
+	// tier routes by them (ExtractKeyBytes) whether or not a local cache exists.
+	e.keyPrefix = cachePrefix(g, o, maxTokens, o.ParseBudget > 0)
 	return e, nil
 }
 
@@ -553,17 +536,13 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 	return res, err
 }
 
-// ExtractTokens runs parsing and merging over an already-tokenized form.
-// Token IDs must be dense and in render order; malformed token sets
-// (nil entries, sparse, duplicated or out-of-range IDs) are rejected up
-// front with a descriptive error rather than crashing the parse.
-func (e *Extractor) ExtractTokens(toks []*Token) (*Result, error) {
-	return e.ExtractTokensContext(context.Background(), toks)
-}
-
-// ExtractTokensContext is ExtractTokens under caller cancellation, with the
-// same partial-result and budget semantics as ExtractBytes.
-func (e *Extractor) ExtractTokensContext(ctx context.Context, toks []*Token) (res *Result, err error) {
+// ExtractTokens runs parsing and merging over an already-tokenized form,
+// under caller cancellation, with the same partial-result and budget
+// semantics as ExtractBytes. Token IDs must be dense and in render order;
+// malformed token sets (nil entries, sparse, duplicated or out-of-range IDs)
+// are rejected up front with a descriptive error rather than crashing the
+// parse.
+func (e *Extractor) ExtractTokens(ctx context.Context, toks []*Token) (res *Result, err error) {
 	if verr := core.ValidateTokens(toks); verr != nil {
 		return nil, fmt.Errorf("formext: %w", verr)
 	}
@@ -682,7 +661,7 @@ func runStage(tr *Trace, name string, d *time.Duration, f func(sp *Span)) {
 
 // Tokenize exposes the front half of the pipeline: HTML → layout → tokens,
 // under the same MaxDepth and MaxTokens budgets as ExtractHTML, so
-// ExtractTokens(Tokenize(src)) parses exactly the sentence ExtractHTML
+// ExtractTokens(ctx, Tokenize(src)) parses exactly the sentence ExtractHTML
 // would.
 func (e *Extractor) Tokenize(src string) []*Token {
 	doc, _ := htmlparse.ParseContext(context.Background(), src, htmlparse.Limits{MaxDepth: e.opts.MaxDepth})

@@ -100,7 +100,7 @@ func TestHostileTokenFloodCapped(t *testing.T) {
 	if len(res.Model.Conditions) == 0 {
 		t.Error("no conditions from the capped prefix")
 	}
-	// Tokenize applies the same budget, so ExtractTokens(Tokenize(src))
+	// Tokenize applies the same budget, so ExtractTokens(ctx, Tokenize(src))
 	// parses the sentence ExtractHTML parsed, not the uncapped page.
 	if n := len(ex.Tokenize(widePage(500))); n != 200 {
 		t.Errorf("Tokenize returned %d tokens, want capped at 200", n)
@@ -386,7 +386,7 @@ func TestExtractTokensRejectsMalformedSets(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		_, err := ex.ExtractTokens(tc.mut(toks))
+		_, err := ex.ExtractTokens(context.Background(), tc.mut(toks))
 		if err == nil {
 			t.Errorf("%s: want a validation error", tc.name)
 		} else if !strings.Contains(err.Error(), "token") {
@@ -394,7 +394,7 @@ func TestExtractTokensRejectsMalformedSets(t *testing.T) {
 		}
 	}
 	// The pristine set still extracts.
-	if _, err := ex.ExtractTokens(toks); err != nil {
+	if _, err := ex.ExtractTokens(context.Background(), toks); err != nil {
 		t.Errorf("valid token set rejected: %v", err)
 	}
 }

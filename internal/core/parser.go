@@ -131,15 +131,6 @@ func (p *Parser) Parse(toks []*token.Token) (*Result, error) {
 	return p.ParseContext(context.Background(), toks, nil)
 }
 
-// ParseSpan runs best-effort parsing, recording per-group span events on sp
-// when non-nil: one child span per schedule group with the instances
-// created, fix-point rounds and prune/rollback counts it caused, plus one
-// for maximization. A nil span costs only the nil checks inside obs; the
-// counters in Stats are recorded either way.
-func (p *Parser) ParseSpan(toks []*token.Token, sp *obs.Span) (*Result, error) {
-	return p.ParseContext(context.Background(), toks, sp)
-}
-
 // ValidateTokens checks that a token set is parseable: no nil entries, and
 // IDs dense in slice order (token i must carry ID i — covers are bit sets
 // over those indices, so sparse, duplicated or out-of-range IDs would index
@@ -171,6 +162,10 @@ func ValidateTokens(toks []*token.Token) error {
 // far, and returns that partial Result together with the context's error —
 // the caller gets the largest interpretation the time budget allowed, with
 // Stats.Interrupted set. A validation failure returns a nil Result.
+//
+// A non-nil sp receives one child span per schedule group (instances
+// created, fix-point rounds, prunes and rollbacks it caused) plus one for
+// maximization; a nil span costs only the nil checks inside obs.
 func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.Span) (res *Result, err error) {
 	if err := ValidateTokens(toks); err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // thereby visible in review as the fleet-wide cache flush it is.
 
 // goldenKeys is the committed shape: the default grammar's fingerprint and,
-// per option variant, the hex ExtractKey of each corpus page.
+// per option variant, the hex ExtractKeyBytes of each corpus page.
 type goldenKeys struct {
 	GrammarFingerprint string                       `json:"grammarFingerprint"`
 	Variants           map[string]map[string]string `json:"variants"`
@@ -48,9 +48,7 @@ var goldenCorpus = map[string]string{
 // including pairs that must resolve identically (explicit defaults).
 var goldenVariants = map[string]Options{
 	"default":        {},
-	"explicit-dflt":  {Viewport: 800, MaxDepth: DefaultMaxDepth},
-	"prefs-off":      {DisablePreferences: true},
-	"viewport-1024":  {Viewport: 1024},
+	"explicit-dflt":  {MaxDepth: DefaultMaxDepth, MaxTokens: DefaultMaxTokens},
 	"interpreted":    {InterpretedEval: true},
 	"budgeted":       {ParseBudget: time.Second},
 	"depth-capped-8": {MaxDepth: 8},
@@ -65,7 +63,7 @@ func TestGoldenKeysStableAcrossBuilds(t *testing.T) {
 		}
 		keys := map[string]string{}
 		for pname, page := range goldenCorpus {
-			k := ex.ExtractKey(page)
+			k := ex.ExtractKeyBytes([]byte(page))
 			keys[pname] = hex.EncodeToString(k[:])
 		}
 		got.Variants[vname] = keys
@@ -133,23 +131,23 @@ func TestGoldenKeySemantics(t *testing.T) {
 		}
 		return e
 	}
-	page := goldenCorpus["simple-text"]
+	page := []byte(goldenCorpus["simple-text"])
+	key := func(o Options) CacheKey { return ex(o).ExtractKeyBytes(page) }
 
 	// Explicitly spelling the defaults is the same configuration.
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{Viewport: 800, MaxDepth: DefaultMaxDepth}).ExtractKey(page); a != b {
+	if key(Options{}) != key(Options{MaxDepth: DefaultMaxDepth, MaxTokens: DefaultMaxTokens}) {
 		t.Error("explicit default options derive a different key than zero options")
 	}
 	// Observability must not shard: a traced and an untraced process serve
 	// each other's keys.
-	tracer := NewTracer(NewRingSink(4))
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{Tracer: tracer}).ExtractKey(page); a != b {
+	if key(Options{}) != key(Options{Tracer: NewTracer(NewRingSink(4))}) {
 		t.Error("tracer participates in the key; traced and untraced fleets would not share")
 	}
 	// Result-changing options shard; so does the page itself.
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{DisablePreferences: true}).ExtractKey(page); a == b {
-		t.Error("DisablePreferences does not change the key")
+	if key(Options{}) == key(Options{InterpretedEval: true}) {
+		t.Error("InterpretedEval does not change the key")
 	}
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{}).ExtractKey(page+" "); a == b {
+	if key(Options{}) == ex(Options{}).ExtractKeyBytes(append(page, ' ')) {
 		t.Error("distinct pages derive the same key")
 	}
 }

@@ -5,6 +5,7 @@ package formext
 // tree over the five pipeline stages, and the disabled-path contract.
 
 import (
+	"context"
 	"testing"
 
 	"formext/internal/dataset"
@@ -191,7 +192,7 @@ func TestExtractTokensTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	toks := ex.Tokenize(qamHTML)
-	res, err := ex.ExtractTokens(toks)
+	res, err := ex.ExtractTokens(context.Background(), toks)
 	if err != nil {
 		t.Fatal(err)
 	}
