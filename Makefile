@@ -53,15 +53,17 @@ hostile:
 
 # Fuzz smoke: ten seconds each of the lexer differential (the zero-copy
 # lexer against the reference lexer kept in its tests), the tree builder,
-# name interning, and the parser's join-window differential (windowed joins
-# against the full scan over boundary layouts), on top of their seed
-# corpora. New crashers land in the package's testdata/fuzz and fail the
+# name interning, the parser's join-window differential (windowed joins
+# against the full scan over boundary layouts) and the tree compaction
+# differential (the maximal trees' own compaction against the all-alive
+# one), on top of their seed corpora. New crashers land in the package's testdata/fuzz and fail the
 # target.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLexerDifferential$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzInternName$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzJoinWindow$$' -fuzztime 10s ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzCompactTrees$$' -fuzztime 10s ./internal/core/
 
 # Grammar audit: remove each rule of the default grammar in turn and
 # extract the model golden's corpus (1,095 pages) with the rest. Fails on

@@ -18,9 +18,10 @@ import (
 // CacheConfig sizes an extraction Cache.
 type CacheConfig struct {
 	// MaxBytes is the total budget, in approximate bytes of frozen results
-	// (the cost model counts tokens and their arena, parse-tree instances,
-	// memoized texts and the semantic model). Must be positive — "no
-	// cache" is expressed by leaving Options.Cache nil.
+	// (the cost model counts the token arena, parse-tree instances,
+	// memoized texts, the semantic model and the submission envelope).
+	// Must be positive — "no cache" is expressed by leaving Options.Cache
+	// nil.
 	MaxBytes int64
 	// TTL bounds entry lifetime; 0 means entries live until evicted by
 	// byte pressure.
@@ -126,11 +127,15 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 // parse-tree graph (the only lazy state a reader can touch; the parser's
 // text-shape memo is parse-time state no reader evaluates, so it is left
 // as the parse left it) and records the result's approximate byte
-// footprint for cache accounting. The parser's rollback edges never reach
-// the result: they live in the engine's own parent graph. The result owns
-// every string it exposes (tokens copy theirs into the token arena, the
-// envelope clones its own), so a frozen result pins neither the page bytes
-// nor a DOM.
+// footprint for cache accounting: what the result holds, and nothing the
+// parse merely built. The parser compacts a result down to its maximal
+// trees (instance structs, cover words and child pointers, which
+// FreezeMemos counts node by node); the rest is the token arena's blocks,
+// the model and the submission envelope. The parser's rollback edges never
+// reach the result: they live in the engine's own parent graph. The result
+// owns every string it exposes (tokens copy theirs into the token arena,
+// the envelope clones its own), so a frozen result pins neither the page
+// bytes nor a DOM.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
@@ -146,22 +151,12 @@ func (r *Result) Freeze() *Result {
 	for _, tr := range r.Trees {
 		cost += tr.FreezeMemos(seen)
 	}
-	// Every instance the parse created stays resident through the
-	// Result-owned slabs (an interior pointer keeps its whole slab alive),
-	// so the dead majority counts too: struct plus cover words per created
-	// instance, not just the tree-reachable minority FreezeMemos visited.
-	perInst := int64(unsafe.Sizeof(grammar.Instance{})) + int64(len(r.Tokens)/8+16)
-	cost += int64(r.Stats.TotalCreated) * perInst
-	for _, t := range r.Tokens {
-		cost += tokenCost(t)
-	}
-	cost += modelCost(r.Model)
-	// The token arena the front end handed over: the only front-end memory
-	// a result keeps, since the DOM and layout arenas are recycled and
-	// nothing aliases the page bytes. Token fields were already counted
-	// above and live in these slabs, so the sum double-counts them — cache
-	// accounting prefers a slight overestimate.
-	cost += r.arenaBytes
+	// The token arena the front end handed over is the only front-end
+	// memory a result keeps (the DOM and layout arenas are recycled and
+	// nothing aliases the page bytes), and every token field lives in its
+	// blocks. (Only extractions from bytes are cached; tokens a caller
+	// handed to ExtractTokens are the caller's, and charge nothing.)
+	cost += r.arenaBytes + modelCost(r.Model) + formCost(r.Form)
 	r.cost = cost
 	r.frozen = true
 	return r
@@ -211,15 +206,21 @@ func (r *Result) cacheable() bool {
 	return true
 }
 
-// tokenCost approximates one token's resident bytes.
-func tokenCost(t *Token) int64 {
-	c := int64(unsafe.Sizeof(Token{})) + 16
-	c += int64(len(t.SVal) + len(t.Name) + len(t.Value) + len(t.ForID) + len(t.ElemID))
-	for _, o := range t.Options {
-		c += int64(len(o)) + 16
+// formCost approximates the submission envelope's resident bytes: the
+// action URL, the hidden-field map (header plus one 8-slot group per eight
+// entries) and the control names.
+func formCost(f FormInfo) int64 {
+	c := int64(len(f.Action))
+	if f.Hidden != nil {
+		c += 48 + int64((len(f.Hidden)+7)/8)*336
+		for _, vs := range f.Hidden {
+			for _, v := range vs {
+				c += int64(len(v)) + 16
+			}
+		}
 	}
-	for _, o := range t.OptionValues {
-		c += int64(len(o)) + 16
+	for _, s := range f.Controls {
+		c += int64(len(s)) + 16
 	}
 	return c
 }

@@ -99,6 +99,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -110,6 +111,25 @@ import (
 
 // maxBody bounds the request body of /extract.
 const maxBody = 1 << 20
+
+// pageBuf is one recyclable request-body buffer of the extraction routes.
+type pageBuf struct{ b []byte }
+
+// pageBufs recycles the body buffers of /extract and /cluster/fetch: a
+// fresh 30-60 KB page slice per request was most of what the server
+// allocated. maxPooledBody caps the buffers kept, so a rare near-limit body
+// is not pinned in the pool.
+var pageBufs = sync.Pool{New: func() any { return new(pageBuf) }}
+
+const maxPooledBody = 256 << 10
+
+// recyclePage returns a body buffer to pageBufs; a package variable so
+// tests can scribble over recycled buffers and see which paths recycle.
+var recyclePage = func(pb *pageBuf) {
+	if cap(pb.b) <= maxPooledBody {
+		pageBufs.Put(pb)
+	}
+}
 
 // metrics is one server's serving counters, rendered by its own /metrics.
 // Each server owns its set, so servers built in one process never share a
@@ -650,7 +670,21 @@ func (s *server) serveExtract(w http.ResponseWriter, r *http.Request, route bool
 		http.Error(w, "POST HTML to "+r.URL.Path, http.StatusMethodNotAllowed)
 		return
 	}
-	src, ok := readPage(w, r)
+	// The body goes into a pooled buffer, returned once the response is
+	// written: nothing the handler hands on keeps the page (a Result owns
+	// its strings, and the cache key is a hash). The one exception is a page
+	// sent to a peer, which the buffer's owner can no longer vouch for.
+	pb := pageBufs.Get().(*pageBuf)
+	src, ok := readPage(w, r, pb.b[:0])
+	if cap(src) > cap(pb.b) {
+		pb.b = src[:0]
+	}
+	recycle := true
+	defer func() {
+		if recycle {
+			recyclePage(pb)
+		}
+	}()
 	if !ok {
 		return
 	}
@@ -664,7 +698,12 @@ func (s *server) serveExtract(w http.ResponseWriter, r *http.Request, route bool
 	if route && s.cluster != nil {
 		owner, self := s.cluster.Owner(key)
 		if !self {
-			if s.relayPeer(w, r, owner, key, src) {
+			served, hot := s.relayPeer(w, r, owner, key, src)
+			// A page that went out on a peer fetch is never recycled:
+			// http.Transport may still read a request body after RoundTrip
+			// returns on an error path. A hot-copy answer sent nothing.
+			recycle = hot
+			if served {
 				return
 			}
 			// The owner is unreachable: serve this request ourselves. The
@@ -680,18 +719,29 @@ func (s *server) serveExtract(w http.ResponseWriter, r *http.Request, route bool
 }
 
 // readPage reads the request body under the size cap, answering the error
-// itself when it fails. A declared Content-Length sizes the buffer exactly
-// (one allocation, no garbage from growing a 512-byte start through a
-// 30-60 KB page) and one over the cap is refused before anything is read;
-// chunked bodies of unknown length are read through the cap as they come.
-func readPage(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// itself when it fails. A declared Content-Length sizes the read exactly —
+// into buf's storage when it has room, else into one fresh slice, with no
+// garbage from growing a small start through a 30-60 KB page — and one
+// over the cap is refused before anything is read; chunked bodies of
+// unknown length are read through the cap as they come, into a fresh
+// slice.
+//
+// The extraction routes pass a pooled buffer and recycle it once the
+// response is written (serveExtract), except after an outgoing peer fetch
+// sent it: the transport may still be reading it. /query and /sources pass
+// nil and keep a plain allocation.
+func readPage(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	var src []byte
 	var err error
 	switch {
 	case r.ContentLength > maxBody:
 		err = &http.MaxBytesError{Limit: maxBody}
 	case r.ContentLength > 0:
-		src = make([]byte, r.ContentLength)
+		if int64(cap(buf)) >= r.ContentLength {
+			src = buf[:r.ContentLength]
+		} else {
+			src = make([]byte, r.ContentLength)
+		}
 		_, err = io.ReadFull(r.Body, src)
 	default:
 		src, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -726,10 +776,11 @@ func (s *server) revalidate(w http.ResponseWriter, r *http.Request, etag string)
 }
 
 // relayPeer forwards the page to its owning peer and relays the response
-// verbatim (plus attribution headers). False means the peer could not be
-// reached — the caller extracts locally; any answer the owner gave, error
-// responses included, is authoritative and relayed.
-func (s *server) relayPeer(w http.ResponseWriter, r *http.Request, owner string, key formext.CacheKey, src []byte) bool {
+// verbatim (plus attribution headers). served false means the peer could
+// not be reached — the caller extracts locally; any answer the owner gave,
+// error responses included, is authoritative and relayed. hot reports an
+// answer from the hot copy, which sent no request and so never read src.
+func (s *server) relayPeer(w http.ResponseWriter, r *http.Request, owner string, key formext.CacheKey, src []byte) (served, hot bool) {
 	ctx := r.Context()
 	if s.extractTimeout > 0 {
 		var cancel context.CancelFunc
@@ -742,7 +793,7 @@ func (s *server) relayPeer(w http.ResponseWriter, r *http.Request, owner string,
 	}
 	fr, err := s.cluster.Fetch(ctx, owner, key, src, query)
 	if err != nil {
-		return false
+		return false, false
 	}
 	s.m.forwarded.Add(1)
 	h := w.Header()
@@ -762,7 +813,7 @@ func (s *server) relayPeer(w http.ResponseWriter, r *http.Request, owner string,
 	if _, werr := w.Write(fr.Body); werr != nil {
 		log.Printf("formserve: relaying peer response: %v", werr)
 	}
-	return true
+	return true, fr.Hot
 }
 
 // extractLocal runs the extraction on this process and writes the JSON

@@ -122,7 +122,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a constraint query ([attr=value; ...]) to /query", http.StatusMethodNotAllowed)
 		return
 	}
-	body, ok := readPage(w, r)
+	body, ok := readPage(w, r, nil)
 	if !ok {
 		return
 	}
@@ -170,7 +170,7 @@ func (s *server) handleSources(w http.ResponseWriter, r *http.Request) {
 			"sources": out,
 		})
 	case http.MethodPost:
-		body, ok := readPage(w, r)
+		body, ok := readPage(w, r, nil)
 		if !ok {
 			return
 		}

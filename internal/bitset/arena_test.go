@@ -164,6 +164,51 @@ func TestArenaAmortizedAllocs(t *testing.T) {
 	}
 }
 
+func TestArenaRecyclesClearedSlabs(t *testing.T) {
+	var a Arena
+	a.Reset(130)
+	for i := 0; i < 2*slabSets; i++ {
+		s := a.New()
+		s.Add(i % 130)
+		s.Add(129)
+	}
+	// The next cycle reuses the same slabs, cleared, at no allocation.
+	allocs := testing.AllocsPerRun(10, func() {
+		a.Reset(130)
+		for i := 0; i < 2*slabSets; i++ {
+			s := a.New()
+			if !s.Empty() {
+				t.Fatalf("set %d of a recycled slab holds %v", i, s)
+			}
+			s.Add(i % 130)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a recycled cycle allocates %.1f times", allocs)
+	}
+	// A wider universe than the spare slabs were cut for still gets room.
+	a.Reset(64 * 130)
+	s := a.New()
+	s.Add(64*130 - 1)
+	if s.Len() != 64*130 || s.Count() != 1 {
+		t.Errorf("wide set after recycling: len %d count %d", s.Len(), s.Count())
+	}
+}
+
+func TestCloneInto(t *testing.T) {
+	src := Of(130, 0, 64, 129)
+	buf := make([]uint64, 2*src.Words())
+	c := src.CloneInto(buf)
+	if !c.Equal(src) || c.Words() != 3 {
+		t.Fatalf("CloneInto = %v (%d words), want %v", c, c.Words(), src)
+	}
+	d := src.CloneInto(buf[c.Words():])
+	d.Remove(64)
+	if !c.Has(64) || !src.Has(64) {
+		t.Error("a clone shares words with its neighbour or its source")
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -93,6 +93,21 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// Words returns how many 64-bit words hold the set's members: the room
+// CloneInto needs.
+func (s Set) Words() int { return len(s.words) }
+
+// CloneInto copies s into the front of buf, which must hold at least
+// s.Words() words, and returns the copy: the bulk form of Clone, for a
+// caller that places many sets in one block. The copy's storage ends where
+// its words do, so it never grows into the rest of buf.
+func (s Set) CloneInto(buf []uint64) Set {
+	w := len(s.words)
+	c := Set{words: buf[:w:w], n: s.n}
+	copy(c.words, s.words)
+	return c
+}
+
 // CopyFrom overwrites s's members with t's. The two sets must share a
 // universe size.
 func (s Set) CopyFrom(t Set) {

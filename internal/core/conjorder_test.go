@@ -10,7 +10,7 @@ import (
 // renderParse is a deterministic rendering of everything a Result exposes
 // (instances, structure, maximal roots, stats minus wall time), used to
 // compare parses bit for bit.
-func renderParse(res *Result) string {
+func renderParse(res *AliveResult) string {
 	var sb strings.Builder
 	for _, in := range res.Alive {
 		prod := ""
@@ -50,7 +50,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 	baseline := ""
 	{
 		p := mustParser(t, figure6Grammar, Options{})
-		res, err := p.Parse(toks)
+		res, err := p.ParseAlive(toks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 		if permuted == 0 {
 			t.Fatal("grammar has no decomposed constraints; fixture inert")
 		}
-		res, err := p.Parse(toks)
+		res, err := p.ParseAlive(toks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestConjunctTiersMatchInterpreted(t *testing.T) {
 	var renders [2]string
 	for i, interpreted := range []bool{false, true} {
 		p := mustParser(t, figure6Grammar, Options{Interpreted: interpreted})
-		res, err := p.Parse(toks)
+		res, err := p.ParseAlive(toks)
 		if err != nil {
 			t.Fatal(err)
 		}

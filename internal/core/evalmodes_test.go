@@ -52,7 +52,7 @@ func TestBindDoesNotLeakAcrossProductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Parse(toks)
+		res, err := p.ParseAlive(toks)
 		if err != nil {
 			t.Fatal(err)
 		}

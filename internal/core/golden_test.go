@@ -63,7 +63,7 @@ func coreGoldenPages() map[string]string {
 }
 
 // goldenDigest hashes one parse's rendering with ConstraintEvals zeroed.
-func goldenDigest(res *core.Result) string {
+func goldenDigest(res *core.AliveResult) string {
 	res.Stats.ConstraintEvals = 0
 	sum := sha256.Sum256([]byte(renderResult(res)))
 	return hex.EncodeToString(sum[:])
@@ -98,11 +98,11 @@ func TestCoreGolden(t *testing.T) {
 	}
 	got := make(map[string]coreGolden, len(names))
 	for i, name := range names {
-		rc, err := pc.Parse(corpus[i])
+		rc, err := pc.ParseAlive(corpus[i])
 		if err != nil {
 			t.Fatalf("%s: compiled: %v", name, err)
 		}
-		ri, err := pi.Parse(corpus[i])
+		ri, err := pi.ParseAlive(corpus[i])
 		if err != nil {
 			t.Fatalf("%s: interpreted: %v", name, err)
 		}

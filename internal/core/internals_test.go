@@ -113,7 +113,7 @@ pref R w:text beats l:image when samerow(w, l);
 		{ID: 0, Type: token.Text, SVal: "x", Pos: geom.R(0, 10, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(20, 30, 0, 10)},
 	}
-	res, err := p.Parse(toks)
+	res, err := p.ParseAlive(toks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestChildrenDistinctAfterParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Parse(qamFragmentTokens())
+		res, err := p.ParseAlive(qamFragmentTokens())
 		if err != nil {
 			t.Fatal(err)
 		}

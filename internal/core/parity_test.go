@@ -100,7 +100,7 @@ func fuzzTokens(rng *rand.Rand, n int) []*token.Token {
 // per-instance identity (ID, symbol, production, children, cover, pos) for
 // every alive instance, the maximal tree IDs, and the statistics with the
 // wall clock zeroed.
-func renderResult(res *core.Result) string {
+func renderResult(res *core.AliveResult) string {
 	var sb strings.Builder
 	for _, in := range res.Alive {
 		prod := ""
@@ -175,13 +175,19 @@ func TestCompiledParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ti, toks := range cfg.corpus {
-				rc, err := pc.Parse(toks)
+				rc, err := pc.ParseAlive(toks)
 				if err != nil {
 					t.Fatalf("input %d: compiled: %v", ti, err)
 				}
-				ri, err := pi.Parse(toks)
+				ri, err := pi.ParseAlive(toks)
 				if err != nil {
 					t.Fatalf("input %d: interpreted: %v", ti, err)
+				}
+				// Terminals never die, so every token leaves an alive
+				// instance to compare; an empty list would make the
+				// comparison vacuous.
+				if len(rc.Alive) < len(toks) {
+					t.Fatalf("input %d: %d alive instances for %d tokens", ti, len(rc.Alive), len(toks))
 				}
 				got, want := renderResult(rc), renderResult(ri)
 				if got != want {

@@ -81,17 +81,18 @@ type Stats struct {
 // Nonterminals returns the nonterminal instances created.
 func (s Stats) Nonterminals() int { return s.TotalCreated - s.Terminals }
 
-// Result is the parser output: the surviving instances and the maximal
-// partial parse trees (Section 5.3), ordered by descending cover.
+// Result is the parser output: the maximal partial parse trees (Section
+// 5.3), ordered by descending cover, and the statistics of the parse. The
+// trees are all a Result holds of the parse graph: the alive instances no
+// tree reaches are counted in Stats and then dropped with the engine's
+// scratch storage.
 type Result struct {
 	// Tokens is the input token set.
 	Tokens []*token.Token
 	// Maximal holds the maximum partial parse trees: alive instances whose
 	// cover is not properly subsumed by any other alive instance's cover.
 	Maximal []*grammar.Instance
-	// Alive holds every surviving instance (terminals included).
-	Alive []*grammar.Instance
-	Stats Stats
+	Stats   Stats
 }
 
 // Parser parses token sets against one grammar. A Parser is immutable
@@ -166,9 +167,19 @@ func ValidateTokens(toks []*token.Token) error {
 // A non-nil sp receives one child span per schedule group (instances
 // created, fix-point rounds, prunes and rollbacks it caused) plus one for
 // maximization; a nil span costs only the nil checks inside obs.
-func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.Span) (res *Result, err error) {
+func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.Span) (*Result, error) {
+	res, _, err := p.parse(ctx, toks, sp, false)
+	return res, err
+}
+
+// parse runs one parse. With keepAlive set, every alive instance is a
+// compaction root as well as the maximal trees, and the copies come back in
+// creation order: the whole surviving interpretation set, which the
+// package's tests inspect (export_test.go). The production path keeps only
+// the trees' reach; both paths run the same parse and count the same Stats.
+func (p *Parser) parse(ctx context.Context, toks []*token.Token, sp *obs.Span, keepAlive bool) (res *Result, alive []*grammar.Instance, err error) {
 	if err := ValidateTokens(toks); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	e := p.engine()
@@ -240,18 +251,33 @@ func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.
 	res.Maximal = e.maximize(p.pl.g.Start)
 	msp.SetInt("trees", int64(len(res.Maximal)))
 	msp.End()
-	res.Maximal, res.Alive = e.compact(res.Maximal)
-	e.stats.Alive = len(res.Alive)
-	e.stats.MaximalTrees = len(res.Maximal)
-	// Complete parses are counted over all alive start-symbol instances:
-	// distinct derivations of the full token set are distinct global
+	// Alive instances and complete parses are counted over the engine's
+	// alive set, before compaction keeps only what the trees reach.
+	// Complete parses are all alive start-symbol instances covering every
+	// token: distinct derivations of the full token set are distinct global
 	// interpretations (Figure 9), even though maximization keeps one
 	// representative per cover.
-	for _, in := range res.Alive {
+	for _, in := range e.all {
+		if in.Dead {
+			continue
+		}
+		e.stats.Alive++
 		if in.Sym == p.pl.g.Start && in.Cover.Count() == len(toks) {
 			e.stats.CompleteParses++
 		}
+		if keepAlive {
+			alive = append(alive, in)
+		}
 	}
+	roots := res.Maximal
+	if keepAlive {
+		roots = append(alive, res.Maximal...)
+	}
+	e.compact(roots)
+	if keepAlive {
+		alive, res.Maximal = roots[:len(alive):len(alive)], roots[len(alive):]
+	}
+	e.stats.MaximalTrees = len(res.Maximal)
 	e.stats.Interrupted = e.interrupted
 	e.stats.Duration = time.Since(start)
 	res.Stats = e.stats
@@ -264,9 +290,9 @@ func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.
 	sp.SetInt("completeParses", int64(e.stats.CompleteParses))
 	if e.interrupted {
 		sp.Event("interrupted", obs.Int("instances", int64(e.stats.TotalCreated)))
-		return res, ctx.Err()
+		return res, alive, ctx.Err()
 	}
-	return res, nil
+	return res, alive, nil
 }
 
 // structuralKey identifies a derivation by head symbol and component
@@ -306,8 +332,9 @@ func appendInt(buf []byte, v int) []byte {
 
 // instSlabSize is how many instances one engine slab holds; childSlabSize
 // how many child pointers. The parse builds instances in these engine-owned
-// slabs; at the end compact() copies the alive minority into exact-size
-// Result-owned storage, so the slabs (dead-instance majority included) are
+// slabs, and their covers in the engine's bitset arena; at the end
+// compact() copies the maximal trees' reach (instances, child pointers and
+// cover words) into exact-size Result-owned storage, so every slab is
 // cleared and recycled for the next parse instead of being retained by the
 // Result. maxFreeSlabs caps how many spare slabs of each kind a pooled
 // engine keeps — a single pathological parse cannot pin an unbounded pool.
@@ -320,9 +347,9 @@ const (
 // engine holds the mutable state of one parse. Engines are pooled per
 // Parser: scratch structures that hold no instance pointers (dedup table,
 // bitset scratch, join buffers, list headers) survive between parses, and
-// instance storage is carved from engine-owned slabs that recycle too —
-// compact() copies the alive survivors into Result-owned storage at the end
-// of each parse, so nothing the Result retains reaches into the engine.
+// instance and cover storage is carved from engine-owned slabs that recycle
+// too — compact() copies the maximal trees into Result-owned storage at the
+// end of each parse, so nothing the Result retains reaches into the engine.
 type engine struct {
 	pl  *plan
 	opt Options
@@ -418,9 +445,9 @@ type engine struct {
 	maxPost    [][]int32 // per-token posting lists of the kept trees
 	maxMembers []int     // one candidate's cover members
 
-	// Freeze-compaction scratch: reach marks the IDs reachable from alive
-	// instances; remap[id] is the Result-owned copy of reachable instance
-	// id during compact(), nil for unreachable ones.
+	// Freeze-compaction scratch: reach marks the IDs reachable from the
+	// compaction roots; remap[id] is the Result-owned copy of reachable
+	// instance id during compact(), nil for unreachable ones.
 	reach []bool
 	remap []*grammar.Instance
 
@@ -454,10 +481,11 @@ func (p *Parser) engine() *engine {
 	}
 }
 
-// release clears every reference the engine holds into the finished parse —
-// compact() copied the alive instances into Result-owned storage, so the
-// slabs only hold parse-scratch copies now — and recycles the slab chunks
-// (cleared, so a pooled engine pins nothing) before returning to the pool.
+// forgetInstances clears every reference the engine holds into the
+// finished parse — compact() copied the trees into Result-owned storage, so
+// the slabs only hold parse-scratch copies now — and recycles the instance,
+// child and cover slabs (cleared, so a pooled engine pins nothing) before
+// release returns the engine to the pool.
 func (e *engine) forgetInstances() {
 	for i := range e.bySym {
 		clear(e.bySym[i])
@@ -656,7 +684,7 @@ func (e *engine) terminal(t *token.Token) {
 // track registers a freshly built instance of symbol sid with the given
 // subtree size in the engine's indexes. Symbols outside the grammar (token
 // types no production mentions, sid -1) skip the bySym table — nothing can
-// join over them — but still appear in e.all and hence in Result.Alive.
+// join over them — but still appear in e.all, and so count as alive.
 // Instances are tracked in ID order, so the ID-indexed parent-graph heads
 // and sizes grow in lockstep (parHead[in.ID] is this append).
 func (e *engine) track(in *grammar.Instance, sid int, size int32) {
@@ -1160,41 +1188,39 @@ func (e *engine) kill(in *grammar.Instance, spare bitset.Set, direct bool) {
 	}
 }
 
-// compact copies the Result's entire reach — every alive instance plus the
-// instances their subtrees run through — into exact-size Result-owned
-// storage, in creation (ID) order, and remaps the given maximal roots onto
-// the copies. Reachability must be computed, not equated with liveness:
-// winner-subtree sparing (see kill) deliberately leaves a dead loser as a
-// child inside its winner's alive derivation, so alive trees can contain
-// dead nodes. Covers need no copying — they point into arena slabs each
-// Set keeps alive on its own. The payoff is at release: the slabs that
-// held the parse's unreachable majority go back to the engine instead of
-// being pinned by the Result, so steady-state parsing allocates instance
-// storage proportional to what survives rather than to everything the join
+// compact copies the subgraph the roots reach — the roots and every
+// instance their subtrees run through — into exact-size Result-owned
+// storage, in creation (ID) order, and rewrites roots in place to point at
+// the copies. Three blocks hold it all: the instance structs, the child
+// pointers and the cover words. The production path passes the maximal
+// trees, the only instances a Result exposes. Reachability must be
+// computed, not equated with liveness: winner-subtree sparing (see kill)
+// deliberately leaves a dead loser as a child inside its winner's alive
+// derivation, so alive trees can contain dead nodes. The payoff is at
+// release: every instance, child and cover slab goes back to the engine
+// instead of being pinned by the Result, so steady-state parsing allocates
+// storage proportional to the trees rather than to everything the join
 // ever built.
-func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.Instance) {
+func (e *engine) compact(roots []*grammar.Instance) {
 	if cap(e.reach) < len(e.all) {
 		e.reach = make([]bool, len(e.all))
 	}
 	e.reach = e.reach[:len(e.all)]
 	clear(e.reach)
-	nAlive := 0
-	for _, in := range e.all {
-		if !in.Dead {
-			nAlive++
-			e.markReach(in)
-		}
+	for _, in := range roots {
+		e.markReach(in)
 	}
-	nReach, nKids := 0, 0
+	nReach, nKids, nWords := 0, 0, 0
 	for _, in := range e.all {
 		if e.reach[in.ID] {
 			nReach++
 			nKids += len(in.Children)
+			nWords += in.Cover.Words()
 		}
 	}
 	dst := make([]grammar.Instance, nReach)
 	kids := make([]*grammar.Instance, nKids)
-	alive = make([]*grammar.Instance, 0, nAlive)
+	words := make([]uint64, nWords)
 	if cap(e.remap) < len(e.all) {
 		e.remap = make([]*grammar.Instance, len(e.all))
 	}
@@ -1206,10 +1232,9 @@ func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.
 			continue
 		}
 		dst[idx] = *in
+		dst[idx].Cover = in.Cover.CloneInto(words)
+		words = words[in.Cover.Words():]
 		remap[in.ID] = &dst[idx]
-		if !in.Dead {
-			alive = append(alive, &dst[idx])
-		}
 		idx++
 	}
 	kidx := 0
@@ -1225,10 +1250,9 @@ func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.
 		kidx += len(cs)
 		dst[i].Children = out
 	}
-	for i, m := range maximal {
-		maximal[i] = remap[m.ID]
+	for i, r := range roots {
+		roots[i] = remap[r.ID]
 	}
-	return maximal, alive
 }
 
 // markReach marks in's subtree reachable (compaction scratch).

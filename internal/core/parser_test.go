@@ -155,7 +155,7 @@ func TestJustInTimePruningKillsAttrReading(t *testing.T) {
 	// name" must not survive as an Attr instance (the RBU reading wins by
 	// R1), and with scheduling the false Attr never feeds a TextVal.
 	p := mustParser(t, figure6Grammar, Options{})
-	res, err := p.Parse(qamFragmentTokens())
+	res, err := p.ParseAlive(qamFragmentTokens())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestSubsumePreferenceSparesWinnerDerivation(t *testing.T) {
 	// R2 kills the shorter radio lists, which are subtrees of the winning
 	// longer list; the winner's own derivation must survive the rollback.
 	p := mustParser(t, figure6Grammar, Options{})
-	res, err := p.Parse(qamFragmentTokens())
+	res, err := p.ParseAlive(qamFragmentTokens())
 	if err != nil {
 		t.Fatal(err)
 	}

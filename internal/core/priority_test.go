@@ -57,7 +57,7 @@ func parsePriority(t *testing.T, bPrio, cPrio int, lateprune bool) string {
 		t.Fatal(err)
 	}
 	toks := []*token.Token{{ID: 0, Type: token.Text, SVal: "x", Pos: geom.R(0, 10, 0, 10)}}
-	res, err := p.Parse(toks)
+	res, err := p.ParseAlive(toks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ prod S -> y:Y ;
 	toks := []*token.Token{
 		mk(0, "e", 0), mk(1, "f", 14), mk(2, "e", 28), mk(3, "f", 42),
 	}
-	res, err := p.Parse(toks)
+	res, err := p.ParseAlive(toks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ pref RT w:text beats l:image when samerow(w, l);
 		{ID: 0, Type: token.Text, SVal: "caption", Pos: geom.R(0, 50, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(60, 90, 0, 10)},
 	}
-	res, err := p.Parse(toks)
+	res, err := p.ParseAlive(toks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ pref RT w:text beats l:image when samerow(w, l);
 
 	// The late-pruning path builds Pic first and must roll it back.
 	late := mustParser(t, src, Options{DisableScheduling: true})
-	lres, err := late.Parse([]*token.Token{
+	lres, err := late.ParseAlive([]*token.Token{
 		{ID: 0, Type: token.Text, SVal: "caption", Pos: geom.R(0, 50, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(60, 90, 0, 10)},
 	})
@@ -160,7 +160,7 @@ prod S -> q:Quad ;
 		return &token.Token{ID: id, Type: "e", Pos: geom.R(x, x+10, 0, 10)}
 	}
 	toks := []*token.Token{mk(0, 0), mk(1, 14), mk(2, 28), mk(3, 42)}
-	res, err := p.Parse(toks)
+	res, err := p.ParseAlive(toks)
 	if err != nil {
 		t.Fatal(err)
 	}

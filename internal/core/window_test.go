@@ -94,11 +94,11 @@ func newWindowPair(tb testing.TB, g *grammar.Grammar, opt core.Options) windowPa
 // returns the two ConstraintEvals counts.
 func (wp windowPair) check(tb testing.TB, label string, toks []*token.Token) (winEvals, refEvals int) {
 	tb.Helper()
-	rw, err := wp.win.Parse(toks)
+	rw, err := wp.win.ParseAlive(toks)
 	if err != nil {
 		tb.Fatalf("%s: windowed: %v", label, err)
 	}
-	rr, err := wp.ref.Parse(toks)
+	rr, err := wp.ref.ParseAlive(toks)
 	if err != nil {
 		tb.Fatalf("%s: reference: %v", label, err)
 	}

@@ -271,8 +271,8 @@ func (in *Instance) FreezeMemos(seen map[*Instance]bool) int64 {
 		return 0
 	}
 	seen[in] = true
-	// The struct, its slot in whatever index holds it, and the cover words.
-	cost := int64(unsafe.Sizeof(Instance{})) + int64(in.Cover.Len()/8+16)
+	// The struct, its cover words and its child pointers.
+	cost := int64(unsafe.Sizeof(Instance{})) + int64(8*in.Cover.Words())
 	cost += int64(len(in.Text()) + len(in.NormText()))
 	cost += int64(8 * len(in.Children))
 	for _, c := range in.Children {

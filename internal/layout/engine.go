@@ -13,17 +13,19 @@ import (
 // Engine lays out a parsed HTML document into a render tree with absolute
 // bounding boxes.
 type Engine struct {
-	// Viewport is the page width in pixels; the body margin is taken from
-	// it on both sides.
-	Viewport float64
 	// M is the font/widget sizing model.
 	M Metrics
 }
 
-// New returns an engine with an 800px viewport and default metrics.
-func New() *Engine { return &Engine{Viewport: 800, M: DefaultMetrics} }
+// New returns an engine with the default metrics.
+func New() *Engine { return &Engine{M: DefaultMetrics} }
 
-const bodyMargin = 8
+// viewport is the page width in pixels; the body margin is taken from it
+// on both sides.
+const (
+	viewport   = 800
+	bodyMargin = 8
+)
 
 // checkEvery is how many DOM nodes a layout run processes between context
 // checkpoints.
@@ -62,7 +64,7 @@ func (e *Engine) LayoutArena(ctx context.Context, doc *htmlparse.Node, a *Arena)
 		r.measure = a.measure
 	}
 	f := a.newFlow()
-	f.e, f.r, f.x0, f.width, f.y = e, r, bodyMargin, e.Viewport-2*bodyMargin, bodyMargin
+	f.e, f.r, f.x0, f.width, f.y = e, r, bodyMargin, viewport-2*bodyMargin, bodyMargin
 	for _, c := range root.Children {
 		f.node(c)
 	}
@@ -71,7 +73,7 @@ func (e *Engine) LayoutArena(ctx context.Context, doc *htmlparse.Node, a *Arena)
 	b.Kind, b.Node, b.Children = BlockBox, doc, f.out
 	b.Rect = unionRects(f.out)
 	if b.Rect == (geom.Rect{}) {
-		b.Rect = geom.R(0, e.Viewport, 0, 0)
+		b.Rect = geom.R(0, viewport, 0, 0)
 	}
 	if r.aborted {
 		return b, ctx.Err()

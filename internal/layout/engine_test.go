@@ -106,7 +106,7 @@ func TestLineWrapping(t *testing.T) {
 		if !th.SameRow(runs[i-1].Rect, runs[i].Rect) && runs[i].Rect.Y1 <= runs[i-1].Rect.Y1 {
 			t.Errorf("wrapped run %d should start on a lower row", i)
 		}
-		if runs[i].Rect.X2 > New().Viewport {
+		if runs[i].Rect.X2 > viewport {
 			t.Errorf("run %d overflows the viewport: %v", i, runs[i].Rect)
 		}
 	}
@@ -283,7 +283,7 @@ func TestCenterTag(t *testing.T) {
 	if centered.Rect.X1 <= plain.Rect.X1 {
 		t.Errorf("centered text at %v should sit right of left-flushed %v", centered.Rect, plain.Rect)
 	}
-	mid := New().Viewport / 2
+	mid := viewport / 2.0
 	if centered.Rect.CenterX() < mid-60 || centered.Rect.CenterX() > mid+60 {
 		t.Errorf("centered text center %g not near page middle %g", centered.Rect.CenterX(), mid)
 	}
@@ -292,7 +292,7 @@ func TestCenterTag(t *testing.T) {
 func TestAlignAttribute(t *testing.T) {
 	root := render(`<div align="right">flush</div>`)
 	leaf := leafByText(root, "flush")
-	edge := New().Viewport - bodyMargin
+	edge := float64(viewport - bodyMargin)
 	if leaf.Rect.X2 < edge-16 {
 		t.Errorf("right-aligned text ends at %g, page edge %g", leaf.Rect.X2, edge)
 	}

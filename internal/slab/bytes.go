@@ -149,14 +149,15 @@ func (b *Bytes) Reset() {
 }
 
 // Drop releases every block to whoever retains the carved strings and
-// returns the number of live bytes, for cache cost accounting.
+// returns the bytes those blocks hold, carved or not, for cache cost
+// accounting: a retained block stays resident whole.
 func (b *Bytes) Drop() int64 {
 	if b == nil {
 		return 0
 	}
-	n := int64(len(b.cur))
+	n := int64(cap(b.cur))
 	for _, blk := range b.full {
-		n += int64(len(blk))
+		n += int64(cap(blk))
 	}
 	b.cur, b.full, b.free = nil, nil, nil
 	b.runStart = 0

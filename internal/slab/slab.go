@@ -133,14 +133,16 @@ func (s *Slab[T]) Reset() {
 
 // Drop releases ownership of every block: carved objects stay valid for
 // whoever retains them, and the slab starts over empty. Use when the run's
-// output (a Result) owns the objects.
+// output (a Result) owns the objects. It returns how many objects the
+// released blocks hold room for: a retained block stays resident whole,
+// however few of its slots were carved, so that is what the new owner keeps.
 func (s *Slab[T]) Drop() int64 {
 	if s == nil {
 		return 0
 	}
-	n := int64(len(s.cur))
+	n := int64(cap(s.cur))
 	for _, b := range s.full {
-		n += int64(len(b))
+		n += int64(cap(b))
 	}
 	s.cur, s.full, s.free = nil, nil, nil
 	return n

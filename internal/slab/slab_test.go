@@ -103,9 +103,10 @@ func TestSlabDropKeepsObjects(t *testing.T) {
 		*p = i
 		ptrs = append(ptrs, p)
 	}
+	// Two blocks were carved from; both stay resident with their holder.
 	n := s.Drop()
-	if n != int64(blockSize+10) {
-		t.Fatalf("Drop count = %d", n)
+	if n != int64(2*blockSize) {
+		t.Fatalf("Drop count = %d, want %d", n, 2*blockSize)
 	}
 	// Carved objects survive the drop, and the slab starts over.
 	for i, p := range ptrs {
@@ -190,8 +191,8 @@ func TestBytesCopyAndReset(t *testing.T) {
 	if s != "abc" {
 		t.Fatalf("Copy = %q", s)
 	}
-	if b.Drop() != 3 {
-		t.Fatalf("Drop count wrong")
+	if n := b.Drop(); n != byteBlockSize {
+		t.Fatalf("Drop = %d, want the %d-byte block the string keeps resident", n, byteBlockSize)
 	}
 	b.BeginRun()
 	b.AppendString("xyzw")

@@ -1,6 +1,8 @@
 package token
 
 import (
+	"unsafe"
+
 	"formext/internal/htmlparse"
 	"formext/internal/layout"
 	"formext/internal/slab"
@@ -23,22 +25,18 @@ type Arena struct {
 	buf   []byte        // inner-text scratch
 }
 
-// tokenBytes approximates the retained size of one Token for cache cost
-// accounting.
-const tokenBytes = 176
-
-// tokenBlockCap sizes the Token slab's blocks. Tokens are big (tokenBytes
+// tokenBlockCap sizes the Token slab's blocks. Tokens are big (192 bytes
 // each) and pages carry tens of them, so the default 256-object block would
-// hand the Result a mostly-empty 45KB array per extraction.
+// hand the Result a mostly-empty 48KB array per extraction.
 const tokenBlockCap = 64
 
-// Release hands the token set its memory and returns the approximate
-// number of retained bytes.
+// Release hands the token set its memory and returns the bytes of the
+// blocks it handed over, which the token set keeps resident whole.
 func (a *Arena) Release() int64 {
 	if a == nil {
 		return 0
 	}
-	n := a.toks.Drop()*tokenBytes + a.ptrs.Drop()*8 + a.strs.Drop()*16 + a.text.Drop()
+	n := a.toks.Drop()*int64(unsafe.Sizeof(Token{})) + a.ptrs.Drop()*8 + a.strs.Drop()*16 + a.text.Drop()
 	full := a.stack[:cap(a.stack)]
 	for i := range full {
 		full[i] = nil
