@@ -53,15 +53,18 @@ hostile:
 
 # Fuzz smoke: ten seconds each of the lexer differential (the zero-copy
 # lexer against the reference lexer kept in its tests), the tree builder,
-# name interning, the parser's join-window differential (windowed joins
-# against the full scan over boundary layouts) and the tree compaction
-# differential (the maximal trees' own compaction against the all-alive
-# one), on top of their seed corpora. New crashers land in the package's testdata/fuzz and fail the
+# name interning, the token hand-over (a handed-over token set must survive
+# the arena's next page and equal the arena-free tokenization), the
+# parser's join-window differential (windowed joins against the full scan
+# over boundary layouts) and the tree compaction differential (the maximal
+# trees' own compaction against the all-alive one), on top of their seed
+# corpora. New crashers land in the package's testdata/fuzz and fail the
 # target.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzLexerDifferential$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/htmlparse/
 	go test -run '^$$' -fuzz '^FuzzInternName$$' -fuzztime 10s ./internal/htmlparse/
+	go test -run '^$$' -fuzz '^FuzzTokenHandover$$' -fuzztime 10s ./internal/token/
 	go test -run '^$$' -fuzz '^FuzzJoinWindow$$' -fuzztime 10s ./internal/core/
 	go test -run '^$$' -fuzz '^FuzzCompactTrees$$' -fuzztime 10s ./internal/core/
 

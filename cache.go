@@ -13,13 +13,15 @@ import (
 	"formext/internal/geom"
 	"formext/internal/grammar"
 	"formext/internal/obs"
+	"formext/internal/token"
 )
 
 // CacheConfig sizes an extraction Cache.
 type CacheConfig struct {
 	// MaxBytes is the total budget, in approximate bytes of frozen results
-	// (the cost model counts the token arena, parse-tree instances,
-	// memoized texts, the semantic model and the submission envelope).
+	// (the cost model counts the tokens, parse-tree instances,
+	// memoized texts, the semantic model, the submission envelope and the
+	// cache's own entry).
 	// Must be positive — "no cache" is expressed by leaving Options.Cache
 	// nil.
 	MaxBytes int64
@@ -130,12 +132,12 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 // footprint for cache accounting: what the result holds, and nothing the
 // parse merely built. The parser compacts a result down to its maximal
 // trees (instance structs, cover words and child pointers, which
-// FreezeMemos counts node by node); the rest is the token arena's blocks,
-// the model and the submission envelope. The parser's rollback edges never
-// reach the result: they live in the engine's own parent graph. The result
-// owns every string it exposes (tokens copy theirs into the token arena,
-// the envelope clones its own), so a frozen result pins neither the page
-// bytes nor a DOM.
+// FreezeMemos counts node by node); the rest is the tokens, the model and
+// the submission envelope. The parser's rollback edges never reach the
+// result: they live in the engine's own parent graph. The result owns
+// every string it exposes (the tokenizer hands tokens over in exact-size
+// storage of their own, the envelope clones its own), so a frozen result
+// pins neither the page bytes, a DOM nor an arena block.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
@@ -151,12 +153,9 @@ func (r *Result) Freeze() *Result {
 	for _, tr := range r.Trees {
 		cost += tr.FreezeMemos(seen)
 	}
-	// The token arena the front end handed over is the only front-end
-	// memory a result keeps (the DOM and layout arenas are recycled and
-	// nothing aliases the page bytes), and every token field lives in its
-	// blocks. (Only extractions from bytes are cached; tokens a caller
-	// handed to ExtractTokens are the caller's, and charge nothing.)
-	cost += r.arenaBytes + modelCost(r.Model) + formCost(r.Form)
+	// The tokens are the only front-end memory a result keeps: every
+	// arena is recycled and nothing aliases the page bytes.
+	cost += token.Footprint(r.Tokens) + modelCost(r.Model) + formCost(r.Form)
 	r.cost = cost
 	r.frozen = true
 	return r
@@ -273,11 +272,12 @@ func (e *Extractor) cachedExtract(ctx context.Context, src []byte) (*Result, err
 		if rerr != nil || res == nil || !res.cacheable() {
 			return res, 0, false, rerr
 		}
-		// Freeze folds in arenaBytes, the token slabs the result retains.
-		// Nothing in the result aliases src, so the page bytes are not
-		// charged: the caller may reuse its buffer once this returns.
+		// Freeze charges the tokens, trees, model and envelope the result
+		// retains, and the cache's own entry comes on top. Nothing in the
+		// result aliases src, so the page bytes are not charged: the caller
+		// may reuse its buffer once this returns.
 		res.Freeze()
-		return res, res.cost, true, nil
+		return res, res.cost + cache.EntryBytes, true, nil
 	})
 	res, _ := v.(*Result)
 	switch out {

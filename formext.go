@@ -215,10 +215,6 @@ type Result struct {
 	// Freeze; cost is its approximate byte footprint, for cache accounting.
 	frozen bool
 	cost   int64
-	// arenaBytes is what the front end handed over when its arenas were
-	// released: the token slabs, the only front-end memory the result
-	// retains. Freeze folds it into cost.
-	arenaBytes int64
 }
 
 // NewQuery starts a submittable query over the extracted form; bind
@@ -439,11 +435,10 @@ func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, erro
 //
 // The front half runs on a pooled arena bundle: DOM nodes, layout boxes and
 // tokens are carved from slabs instead of allocated one by one. The
-// deferred release recycles the DOM and layout blocks, hands the token
-// blocks to the Result (recording their size for cache accounting) and
-// returns the bundle to the pool — on every exit path, panics included, so
-// a torn extraction can never leak a half-filled arena back into
-// circulation.
+// tokenizer hands the Result its tokens in exact-size storage of their
+// own, so the deferred release recycles every arena's blocks and returns
+// the bundle to the pool — on every exit path, panics included, so a torn
+// extraction can never leak a half-filled arena back into circulation.
 func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEvent string) (res *Result, err error) {
 	budgetCtx, cancel := e.budgetContext(ctx)
 	defer cancel()
@@ -458,7 +453,7 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 	defer e.contain(tr, res, &err)
 	fa := frontArenas.Get().(*frontArena)
 	defer func() {
-		res.arenaBytes = fa.release()
+		fa.release()
 		frontArenas.Put(fa)
 	}()
 
@@ -513,8 +508,11 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 		e.degrade(tr, res, "layout: parse budget exhausted")
 	}
 
+	var capped bool
 	runStage(tr, obs.StageTokenize, &res.Stats.Stages.Tokenize, func(sp *Span) {
-		res.Tokens = e.tokenizer.TokenizeArena(boxes, &fa.tok)
+		// The cap is applied before the hand-over, so the Result's storage
+		// holds the kept tokens and none past them.
+		res.Tokens, capped = e.tokenizer.TokenizeCapped(boxes, &fa.tok, e.maxTokens)
 		if sp != nil {
 			ts := token.StatsOf(res.Tokens)
 			sp.SetInt("tokens", int64(ts.Total))
@@ -522,10 +520,7 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 			sp.SetInt("widgets", int64(ts.Widgets))
 		}
 	})
-	if e.maxTokens > 0 && len(res.Tokens) > e.maxTokens {
-		// Tokens are ID-dense in render order; keeping the prefix preserves
-		// density, so the parser sees a well-formed (smaller) sentence.
-		res.Tokens = res.Tokens[:e.maxTokens]
+	if capped {
 		e.degrade(tr, res, fmt.Sprintf("tokenize: token count capped at %d", e.maxTokens))
 	}
 
@@ -665,10 +660,7 @@ func runStage(tr *Trace, name string, d *time.Duration, f func(sp *Span)) {
 // would.
 func (e *Extractor) Tokenize(src string) []*Token {
 	doc, _ := htmlparse.ParseContext(context.Background(), src, htmlparse.Limits{MaxDepth: e.opts.MaxDepth})
-	toks := e.tokenizer.Tokenize(e.layout.Layout(doc))
-	if e.maxTokens > 0 && len(toks) > e.maxTokens {
-		toks = toks[:e.maxTokens]
-	}
+	toks, _ := e.tokenizer.TokenizeCapped(e.layout.Layout(doc), nil, e.maxTokens)
 	return toks
 }
 

@@ -16,26 +16,25 @@ import (
 // bundle, and a warm bundle's block lists and scratch buffers carry their
 // capacity into the next extraction.
 //
-// Ownership: the token arena is the only front-end memory a Result keeps.
-// The tokenizer copies every string it stores into that arena, and the
-// submission envelope clones its own, so nothing the Result holds points
-// into the DOM, the render tree or the page bytes. Releasing the bundle
-// therefore hands the token blocks to the Result and recycles the DOM and
-// layout blocks, zeroed, for the next extraction. Release is wired through
-// a defer so a panic anywhere in the pipeline still leaves the bundle
-// empty and poolable.
+// Ownership: no front-end arena memory outlives an extraction. The
+// tokenizer copies every string it stores and hands the finished token set
+// over into exact-size storage of its own, and the submission envelope
+// clones its own strings, so nothing the Result holds points into an
+// arena, the DOM, the render tree or the page bytes. Releasing the bundle
+// therefore recycles every arena's blocks, zeroed, for the next
+// extraction. Release is wired through a defer so a panic anywhere in the
+// pipeline still leaves the bundle empty and poolable.
 type frontArena struct {
 	dom htmlparse.Arena
 	lay layout.Arena
 	tok token.Arena
 }
 
-// release recycles the DOM and layout arenas, hands the token blocks to
-// the result and returns their approximate size, for cache accounting.
-func (fa *frontArena) release() int64 {
+// release recycles the DOM, layout and token arenas.
+func (fa *frontArena) release() {
 	fa.dom.Release()
 	fa.lay.Release()
-	return fa.tok.Release()
+	fa.tok.Release()
 }
 
 var frontArenas = sync.Pool{New: func() any { return new(frontArena) }}

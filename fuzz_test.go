@@ -1,7 +1,6 @@
 package formext_test
 
 import (
-	"strings"
 	"testing"
 
 	"formext"
@@ -14,24 +13,7 @@ import (
 // extractor's contract is total: any page yields a semantic model, never a
 // panic or an error (errors are reserved for configuration problems).
 func FuzzExtractHTML(f *testing.F) {
-	seeds := []string{
-		"",
-		"plain words only",
-		dataset.QamHTML,
-		dataset.QaaHTML,
-		dataset.Figure5Fragment,
-		`<form>Author <input type=text name=a></form>`,
-		`<form><select name=s><option>1<option>2</select><input type=radio name=r>x</form>`,
-		`<table><tr><td colspan=3>wide</td></tr><tr><td>a<td>b<td>c</table>`,
-		`<form>from <input type=text size=8> to <input type=text size=8></form>`,
-		`<a href="/x">link</a><hr><input type=submit>`,
-		// Hostile shapes: adversarial nesting, unclosed-tag floods, and
-		// recursive tables — the containment layer's fuzz frontier.
-		strings.Repeat("<div>", 600) + "x" + strings.Repeat("</div>", 600),
-		strings.Repeat("<table><tr><td>", 40) + "x",
-		strings.Repeat("<p>w <input type=text name=q>", 40),
-		strings.Repeat("<select>", 100) + "<option>v",
-	}
+	seeds := append([]string{dataset.QamHTML, dataset.QaaHTML, dataset.Figure5Fragment}, dataset.FuzzSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

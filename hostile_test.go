@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,44 @@ func TestHostileTokenFloodCapped(t *testing.T) {
 	// parses the sentence ExtractHTML parsed, not the uncapped page.
 	if n := len(ex.Tokenize(widePage(500))); n != 200 {
 		t.Errorf("Tokenize returned %d tokens, want capped at 200", n)
+	}
+}
+
+// TestTokenCapKeepsOnlyThePrefix: the MaxTokens cut happens before the
+// tokens are handed over, so a capped result keeps storage for the kept
+// tokens alone, with no backing array holding the tokens past the cap, and
+// Freeze charges it no more than an uncapped extraction of the same
+// prefix.
+func TestTokenCapKeepsOnlyThePrefix(t *testing.T) {
+	const n = 40
+	capped, err := New(Options{MaxTokens: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := capped.ExtractHTML(widePage(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tokens) != n || cap(res.Tokens) != n {
+		t.Fatalf("capped result keeps len %d, cap %d tokens, want %d and %d", len(res.Tokens), cap(res.Tokens), n, n)
+	}
+	// widePage(n/2) tokenizes to exactly the capped page's first n tokens.
+	want, err := full.ExtractHTML(widePage(n / 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Tokens, want.Tokens) {
+		t.Fatal("the capped prefix differs from the uncapped extraction of the same tokens")
+	}
+	// The envelope describes the whole page's form either way, so it is
+	// left out of the comparison.
+	got, base := res.Freeze().cost-formCost(res.Form), want.Freeze().cost-formCost(want.Form)
+	if got > base {
+		t.Errorf("Freeze charges the capped result %d B, more than the %d B of an uncapped extraction of its prefix", got, base)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Key addresses one cache entry. Keys are expected to be cryptographic
@@ -241,6 +242,12 @@ func (c *Cache) lead(sh *shard, k Key, f *flight, fn func() (any, int64, bool, e
 }
 
 // ---- shards ----
+
+// EntryBytes is what the cache itself keeps resident per entry, for callers
+// to fold into the cost they charge: the entry struct, its intrusive LRU
+// links included, and its slot in the shard's index map (a key, a pointer
+// and a control byte, at the map's typical two-thirds load).
+const EntryBytes = int64(unsafe.Sizeof(entry{})) + (int64(unsafe.Sizeof(Key{}))+8+1)*3/2
 
 // entry is one cached value on its shard's intrusive LRU ring.
 type entry struct {

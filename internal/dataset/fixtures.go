@@ -1,6 +1,10 @@
 package dataset
 
-import "formext/internal/model"
+import (
+	"strings"
+
+	"formext/internal/model"
+)
 
 // Fixed fixtures reproducing the paper's two running-example interfaces
 // (Figure 3): Qam, the amazon.com book search, and Qaa, the aa.com flight
@@ -94,3 +98,21 @@ Title <input type="text" name="query-1" size="28"><br>
 <input type="radio" name="field-1">Start(s) of title word(s)
 <input type="radio" name="field-1">Exact start of title
 </form>`
+
+// FuzzSeeds are the pages the whole-page fuzz targets seed from, besides
+// the fixtures above: empty and text-only input, bare widgets, option
+// lists, colspans, links and rules, and hostile shapes — adversarial
+// nesting, unclosed-tag floods and recursive tables.
+var FuzzSeeds = []string{
+	"",
+	"plain words only",
+	`<form>Author <input type=text name=a></form>`,
+	`<form><select name=s><option>1<option>2</select><input type=radio name=r>x</form>`,
+	`<table><tr><td colspan=3>wide</td></tr><tr><td>a<td>b<td>c</table>`,
+	`<form>from <input type=text size=8> to <input type=text size=8></form>`,
+	`<a href="/x">link</a><hr><input type=submit>`,
+	strings.Repeat("<div>", 600) + "x" + strings.Repeat("</div>", 600),
+	strings.Repeat("<table><tr><td>", 40) + "x",
+	strings.Repeat("<p>w <input type=text name=q>", 40),
+	strings.Repeat("<select>", 100) + "<option>v",
+}

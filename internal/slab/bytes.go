@@ -147,19 +147,3 @@ func (b *Bytes) Reset() {
 	b.cur, b.full = nil, b.full[:0]
 	b.runStart = 0
 }
-
-// Drop releases every block to whoever retains the carved strings and
-// returns the bytes those blocks hold, carved or not, for cache cost
-// accounting: a retained block stays resident whole.
-func (b *Bytes) Drop() int64 {
-	if b == nil {
-		return 0
-	}
-	n := int64(cap(b.cur))
-	for _, blk := range b.full {
-		n += int64(cap(blk))
-	}
-	b.cur, b.full, b.free = nil, nil, nil
-	b.runStart = 0
-	return n
-}

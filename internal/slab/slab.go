@@ -4,18 +4,17 @@
 // parse that builds hundreds of DOM nodes, layout boxes and tokens costs a
 // handful of allocations instead of one per object. The design follows the
 // core parser's instance slabs: allocation only ever moves forward, there
-// is no per-object free, and the owner decides per slab whether to Drop it
-// (the carved objects outlive the run — e.g. tokens retained by a Result)
-// or Reset it for reuse (objects that die with the run — e.g. DOM nodes
-// and layout boxes, which no Result retains).
+// is no per-object free, and the owner Resets the slab for reuse once
+// nothing carved from it is referenced. Carved objects die with the run:
+// DOM nodes and layout boxes are never retained, and tokens are copied out
+// into exact-size storage before a Result keeps them.
 //
 // Slabs are single-goroutine state, like everything else that is per-parse
 // mutable; callers pool whole arenas, not individual slabs.
 package slab
 
-// blockSize is the number of objects per backing array. Big enough that a
-// typical page costs one or two blocks per slab, small enough that the
-// tail waste of a Drop is irrelevant.
+// blockSize is the number of objects per backing array: big enough that a
+// typical page costs one or two blocks per slab.
 const blockSize = 256
 
 // Slab is a bump allocator for values of type T. The zero value is ready
@@ -26,20 +25,6 @@ type Slab[T any] struct {
 	cur  []T   // current block; len is the high-water mark, cap the block size
 	full [][]T // exhausted blocks, kept so Reset can account and reuse
 	free [][]T // blocks recycled by Reset, ready to be cur again
-
-	// BlockCap overrides the default objects-per-block when positive. Slabs
-	// whose blocks are dropped to a Result every run should size them near
-	// the typical population: a 256-slot block of 176-byte tokens is 45KB
-	// re-allocated per extraction for a page that uses 50 of them.
-	BlockCap int
-}
-
-// block returns the objects-per-block this slab allocates.
-func (s *Slab[T]) block() int {
-	if s.BlockCap > 0 {
-		return s.BlockCap
-	}
-	return blockSize
 }
 
 // New returns a pointer to a fresh zero T carved from the slab.
@@ -60,7 +45,7 @@ func (s *Slab[T]) Make(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if s == nil || n > s.block() {
+	if s == nil || n > blockSize {
 		return make([]T, n)
 	}
 	if len(s.cur)+n > cap(s.cur) {
@@ -103,7 +88,7 @@ func (s *Slab[T]) grow(n int) {
 		s.free = s.free[:k-1]
 		return
 	}
-	size := s.block()
+	size := blockSize
 	if n > size {
 		size = n
 	}
@@ -129,23 +114,6 @@ func (s *Slab[T]) Reset() {
 		s.free = append(s.free, b[:0])
 	}
 	s.cur, s.full = nil, s.full[:0]
-}
-
-// Drop releases ownership of every block: carved objects stay valid for
-// whoever retains them, and the slab starts over empty. Use when the run's
-// output (a Result) owns the objects. It returns how many objects the
-// released blocks hold room for: a retained block stays resident whole,
-// however few of its slots were carved, so that is what the new owner keeps.
-func (s *Slab[T]) Drop() int64 {
-	if s == nil {
-		return 0
-	}
-	n := int64(cap(s.cur))
-	for _, b := range s.full {
-		n += int64(cap(b))
-	}
-	s.cur, s.full, s.free = nil, nil, nil
-	return n
 }
 
 // Live returns the number of objects currently carved.

@@ -71,7 +71,7 @@ func TestSlabNilFallback(t *testing.T) {
 	*p = 7
 	sl := s.Make(4)
 	sl = s.Append(sl, 1)
-	if s.Live() != 0 || s.Drop() != 0 {
+	if s.Live() != 0 {
 		t.Fatalf("nil slab should report empty")
 	}
 	s.Reset()
@@ -95,7 +95,9 @@ func TestSlabResetReusesBlocks(t *testing.T) {
 	}
 }
 
-func TestSlabDropKeepsObjects(t *testing.T) {
+// TestSlabGrowthKeepsObjects: objects carved from a block stay valid
+// after the slab moves on to the next one, until Reset.
+func TestSlabGrowthKeepsObjects(t *testing.T) {
 	var s Slab[int]
 	var ptrs []*int
 	for i := 0; i < blockSize+10; i++ {
@@ -103,19 +105,17 @@ func TestSlabDropKeepsObjects(t *testing.T) {
 		*p = i
 		ptrs = append(ptrs, p)
 	}
-	// Two blocks were carved from; both stay resident with their holder.
-	n := s.Drop()
-	if n != int64(2*blockSize) {
-		t.Fatalf("Drop count = %d, want %d", n, 2*blockSize)
-	}
-	// Carved objects survive the drop, and the slab starts over.
 	for i, p := range ptrs {
 		if *p != i {
-			t.Fatalf("object %d corrupted after Drop", i)
+			t.Fatalf("object %d corrupted by block growth", i)
 		}
 	}
+	if s.Live() != blockSize+10 {
+		t.Fatalf("Live = %d, want %d", s.Live(), blockSize+10)
+	}
+	s.Reset()
 	if s.Live() != 0 {
-		t.Fatalf("slab not empty after Drop")
+		t.Fatalf("slab not empty after Reset")
 	}
 }
 
@@ -191,9 +191,6 @@ func TestBytesCopyAndReset(t *testing.T) {
 	if s != "abc" {
 		t.Fatalf("Copy = %q", s)
 	}
-	if n := b.Drop(); n != byteBlockSize {
-		t.Fatalf("Drop = %d, want the %d-byte block the string keeps resident", n, byteBlockSize)
-	}
 	b.BeginRun()
 	b.AppendString("xyzw")
 	_ = b.EndRun()
@@ -209,9 +206,6 @@ func TestBytesCopyAndReset(t *testing.T) {
 		t.Fatalf("nil Copy broken")
 	}
 	nb.Reset()
-	if nb.Drop() != 0 {
-		t.Fatalf("nil Drop broken")
-	}
 }
 
 // TestResetRefillAllocatesNothing: once a slab has seen a run's peak, a

@@ -36,3 +36,33 @@ func TestTokenizeArenaIdentity(t *testing.T) {
 		a.Release()
 	}
 }
+
+// FuzzTokenHandover: a token set the arena handed over must stay intact
+// while the same arena tokenizes the next page over its recycled blocks,
+// and must equal field for field what the arena-free path builds. Page A
+// is tokenized through the arena, page B next on the same arena, and only
+// then is A's token set compared.
+func FuzzTokenHandover(f *testing.F) {
+	seeds := append([]string{dataset.QamHTML, dataset.QaaHTML}, dataset.FuzzSeeds...)
+	for i, a := range seeds {
+		f.Add(a, seeds[(i+1)%len(seeds)])
+	}
+	tz := NewTokenizer()
+	eng := layout.New()
+	var arena Arena
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 1<<14 || len(b) > 1<<14 {
+			return
+		}
+		rootA := eng.Layout(htmlparse.Parse(a))
+		got := tz.TokenizeArena(rootA, &arena)
+		tz.TokenizeArena(eng.Layout(htmlparse.Parse(b)), &arena)
+		want := tz.Tokenize(rootA)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("handed-over tokens changed by the next page:\n got:  %v\n want: %v", got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("handed-over token slice has len %d, cap %d", len(got), cap(got))
+		}
+	})
+}

@@ -113,16 +113,25 @@ func (tz *Tokenizer) Tokenize(root *layout.Box) []*Token {
 	return tz.TokenizeArena(root, nil)
 }
 
-// TokenizeArena is Tokenize with every allocation drawn from the arena
-// (nil runs without one). The render tree is traversed directly with the
-// arena's scratch stack — the leaf visit is fused into the walk instead of
-// materializing a Leaves slice. Every string a token stores is copied into
-// the arena, so the returned tokens reference neither the DOM, the render
-// tree nor the page bytes: those may be recycled as soon as this returns.
-// The tokens retain arena memory instead: release the arena once the
-// result takes ownership.
+// TokenizeArena is TokenizeCapped without a cap.
 func (tz *Tokenizer) TokenizeArena(root *layout.Box, a *Arena) []*Token {
-	var toks []*Token
+	toks, _ := tz.TokenizeCapped(root, a, 0)
+	return toks
+}
+
+// TokenizeCapped is Tokenize with every allocation of the walk drawn from
+// the arena (nil runs without one), keeping at most limit tokens (limit <= 0
+// keeps all): the render-order prefix, which stays ID-dense, so the parser
+// sees a well-formed smaller sentence. capped reports whether the page had
+// more. The render tree is traversed directly with the arena's scratch
+// stack — the leaf visit is fused into the walk instead of materializing a
+// Leaves slice — and the walk stops at the first token past the cap. Every
+// string a token stores is copied, so the returned tokens reference
+// neither the DOM, the render tree nor the page bytes: those may be
+// recycled as soon as this returns. With an arena, the kept tokens are
+// then handed over into exact-size storage the arena does not own, so
+// they stay valid through any later use of the arena.
+func (tz *Tokenizer) TokenizeCapped(root *layout.Box, a *Arena, limit int) (toks []*Token, capped bool) {
 	// prevBlock is the containing block of the last text or link token,
 	// the merge test's stand-in for the DOM node tokens no longer keep.
 	var prevBlock *htmlparse.Node
@@ -158,11 +167,22 @@ func (tz *Tokenizer) TokenizeArena(root *layout.Box, a *Arena) []*Token {
 			t.Type, t.Pos = Rule, leaf.Rect
 			toks = a.appendToken(toks, t)
 		}
+		// A text run only ever merges into the last token, so once a token
+		// past the cap exists the first limit are final. Its slot is
+		// cleared so no backing array keeps it alive.
+		if limit > 0 && len(toks) > limit {
+			toks[limit] = nil
+			toks, capped = toks[:limit], true
+			break
+		}
 	}
 	for i, t := range toks {
 		t.ID = i
 	}
-	return toks
+	if a != nil {
+		toks = a.handOver(toks)
+	}
+	return toks, capped
 }
 
 // addText appends a text run, merging it into the previous token when the
